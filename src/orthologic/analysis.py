@@ -188,8 +188,10 @@ def check_incompatible_lemma(
     """
     relation = compatibility_relation(lattice)
     strict = lattice.leq & ~np.eye(lattice.n, dtype=bool)
-    bad = strict[:, :, None] & ~relation[:, None, :] & relation[None, :, :]
-    if bad.any():
-        a, b, c = np.argwhere(bad)[0]
-        return False, (int(a), int(b), int(c))
+    for a in range(lattice.n):
+        above = np.flatnonzero(strict[a])
+        bad = relation[above] & ~relation[a]
+        if bad.any():
+            i, c = np.argwhere(bad)[0]
+            return False, (a, int(above[i]), int(c))
     return True, None

@@ -128,8 +128,7 @@ def _order_witness(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     if sym.any():
         a, b = np.argwhere(sym)[0]
         return ("antisymmetric", (int(a), int(b)))
-    reach = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    broken = reach & ~leq
+    broken = (leq @ leq) & ~leq
     if broken.any():
         a, b = np.argwhere(broken)[0]
         return ("transitive", (int(a), int(b)))
@@ -144,42 +143,30 @@ def _find_bounds(leq: np.ndarray) -> tuple[int | None, int | None]:
     return bottom, top
 
 
-def _greatest(leq: np.ndarray, mask: np.ndarray) -> int | None:
-    members = np.flatnonzero(mask)
-    for g in members:
-        if leq[members, g].all():
-            return int(g)
-    return None
-
-
-def _least(leq: np.ndarray, mask: np.ndarray) -> int | None:
-    members = np.flatnonzero(mask)
-    for g in members:
-        if leq[g, members].all():
-            return int(g)
-    return None
-
-
 def _meet_join_tables(
     leq: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None, tuple[int, int] | None]:
-    """Meet/join index tables, or the first pair lacking a unique bound."""
+    """Meet/join index tables, or the first pair (a, b >= a) lacking a unique bound.
+
+    A common lower bound g of a and b is their glb exactly when everything
+    below g is a common lower bound too, i.e. when g has as many elements
+    below it as a and b have in common.  The lub is the same count on the
+    transposed order.  Each row a is resolved for all b >= a at once.
+    """
     n = leq.shape[0]
-    meet = np.empty((n, n), dtype=np.int64)
-    join = np.empty((n, n), dtype=np.int64)
+    orders = (leq, np.ascontiguousarray(leq.T))
+    sizes = tuple(order.sum(axis=0) for order in orders)
+    tables = (np.empty((n, n), dtype=np.int64), np.empty((n, n), dtype=np.int64))
     for a in range(n):
-        below_a = leq[:, a]
-        above_a = leq[a, :]
-        for b in range(a, n):
-            g = _greatest(leq, below_a & leq[:, b])
-            if g is None:
-                return None, None, (a, b)
-            meet[a, b] = meet[b, a] = g
-            s = _least(leq, above_a & leq[b, :])
-            if s is None:
-                return None, None, (a, b)
-            join[a, b] = join[b, a] = s
-    return meet, join, None
+        missing = np.zeros(n - a, dtype=bool)
+        for order, size, table in zip(orders, sizes, tables):
+            common = order[:, a, None] & order[:, a:]
+            exact = common & (size[:, None] == common.sum(axis=0))
+            missing |= ~exact.any(axis=0)
+            table[a, a:] = table[a:, a] = exact.argmax(axis=0)
+        if missing.any():
+            return None, None, (a, a + int(missing.argmax()))
+    return tables[0], tables[1], None
 
 
 def _ortho_witness(
@@ -228,17 +215,22 @@ def _orthomodular_witness(
 
 
 def _distributive_witness(
-    meet: np.ndarray, join: np.ndarray
+    meet: np.ndarray, join: np.ndarray, members=None
 ) -> tuple[int, int, int] | None:
-    """First triple violating a ^ (b v c) == (a ^ b) v (a ^ c)."""
-    n = meet.shape[0]
-    ar = np.arange(n)
-    lhs = meet[ar[:, None, None], join[None, :, :]]
-    rhs = join[meet[:, :, None], meet[:, None, :]]
-    bad = lhs != rhs
-    if bad.any():
-        a, b, c = np.argwhere(bad)[0]
-        return (int(a), int(b), int(c))
+    """First triple of ``members`` violating a ^ (b v c) == (a ^ b) v (a ^ c).
+
+    ``members`` is a sorted index array (default: every element) closed
+    under meet and join; the scan holds one a-slice of the law at a time.
+    """
+    if members is None:
+        members = np.arange(meet.shape[0])
+    bc_join = join[np.ix_(members, members)]
+    for a in members:
+        ab = meet[a, members]
+        bad = meet[a, bc_join] != join[ab[:, None], ab[None, :]]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            return (int(a), int(members[b]), int(members[c]))
     return None
 
 
@@ -415,8 +407,7 @@ def covers(lattice: Lattice) -> list[tuple[int, int]]:
     """Hasse cover pairs (lo, hi) of the lattice order."""
     n = lattice.n
     strict = lattice.leq & ~np.eye(n, dtype=bool)
-    via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~via)]
+    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~(strict @ strict))]
 
 
 def serialize_lattice(lattice: Lattice) -> str:
@@ -516,19 +507,16 @@ def generated_sublattice(lattice: Lattice, seed) -> tuple[int, ...]:
     for i in members:
         if not 0 <= i < lattice.n:
             raise ValueError(f"element index {i} out of range")
-    members |= {lattice.bottom, lattice.top}
+    inside = np.zeros(lattice.n, dtype=bool)
+    inside[[*members, lattice.bottom, lattice.top]] = True
     while True:
-        fresh = set()
-        current = sorted(members)
-        for a in current:
-            if lattice.ortho is not None:
-                fresh.add(int(lattice.ortho[a]))
-            for b in current:
-                fresh.add(int(lattice.meet[a, b]))
-                fresh.add(int(lattice.join[a, b]))
-        if fresh <= members:
-            return tuple(sorted(members))
-        members |= fresh
+        current = np.flatnonzero(inside)
+        grid = np.ix_(current, current)
+        inside[lattice.meet[grid]] = inside[lattice.join[grid]] = True
+        if lattice.ortho is not None:
+            inside[lattice.ortho[current]] = True
+        if np.count_nonzero(inside) == current.size:
+            return tuple(int(i) for i in current)
 
 
 def is_distributive_subset(
@@ -539,22 +527,19 @@ def is_distributive_subset(
     ``subset`` must be closed under meet and join, else :class:`NotClosed`.
     Returns ``(True, None)`` or ``(False, first_violating_triple)``.
     """
-    members = sorted({int(i) for i in subset})
-    inside = set(members)
-    for a in members:
-        for b in members:
-            if int(lattice.meet[a, b]) not in inside or int(lattice.join[a, b]) not in inside:
-                raise NotClosed(
-                    f"subset is not closed at pair ({lattice.names[a]!r}, {lattice.names[b]!r})",
-                    witness=(a, b),
-                )
-    meet, join = lattice.meet, lattice.join
-    for a in members:
-        for b in members:
-            for c in members:
-                if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
-                    return False, (a, b, c)
-    return True, None
+    members = np.array(sorted({int(i) for i in subset}), dtype=np.int64)
+    inside = np.zeros(lattice.n, dtype=bool)
+    inside[members] = True
+    grid = np.ix_(members, members)
+    leaks = ~(inside[lattice.meet[grid]] & inside[lattice.join[grid]])
+    if leaks.any():
+        a, b = (int(members[i]) for i in np.argwhere(leaks)[0])
+        raise NotClosed(
+            f"subset is not closed at pair ({lattice.names[a]!r}, {lattice.names[b]!r})",
+            witness=(a, b),
+        )
+    triple = _distributive_witness(lattice.meet, lattice.join, members)
+    return triple is None, triple
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from orthologic import (
     ParseError,
     UnknownName,
     catalog,
+    check_incompatible_lemma,
     classify,
     covers,
     direct_product,
@@ -333,6 +336,17 @@ def test_serialize_mo2_cover_layers(mo2):
     assert len(pairs) == 8
 
 
+def test_covers_of_m256():
+    # 0 < a < 1 for 256 atoms a: (0, 1) has 256 two-step paths and no cover
+    n = 258
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, n - 1] = True
+    wide = lattice_from_leq(["0", *(f"a{i}" for i in range(n - 2)), "1"], leq)
+    pairs = covers(wide)
+    assert (0, n - 1) not in pairs
+    assert len(pairs) == 2 * (n - 2)
+
+
 def test_serialize_product_reparses_to_b4():
     b2 = catalog("B2")
     doc = serialize_lattice(direct_product(b2, b2))
@@ -380,6 +394,18 @@ def test_lattice_from_leq_validates_order():
         lattice_from_leq(["x", "y"], bad)
 
 
+def test_lattice_from_leq_counts_no_paths():
+    # 2 < m < 3 for 256 middles m, yet not 2 <= 3: a path count kept in
+    # uint8 wraps to 0 there and would hide the broken transitivity
+    n = 260
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, 1] = True
+    leq[2, 4:] = leq[4:, 3] = True
+    with pytest.raises(NotALattice) as err:
+        lattice_from_leq([f"e{i}" for i in range(n)], leq)
+    assert err.value.witness == (2, 3)
+
+
 def test_serialize_roundtrip_without_ortho():
     chain = lattice_from_leq(
         ["0", "m", "1"],
@@ -406,3 +432,16 @@ def test_sixty_four_element_lattice_stays_fast():
     again = parse_lattice(serialize_lattice(big))
     assert again.names == big.names
     assert np.array_equal(again.leq, big.leq)
+
+
+def test_scans_of_256_elements_stay_quadratic_in_memory():
+    big = direct_product(direct_product(catalog("MO3"), catalog("B8")), catalog("B4"))
+    assert big.n == 256
+    tracemalloc.start()
+    try:
+        classify(big)
+        check_incompatible_lemma(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # an n^3 scan needs hundreds of MB here

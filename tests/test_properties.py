@@ -1,6 +1,7 @@
 """Cross-module property tests on randomly assembled inputs."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orthologic import (
+    NotALattice,
     OrthologicError,
     catalog,
     center,
@@ -18,7 +20,10 @@ from orthologic import (
     compatible_via_definition,
     direct_product,
     enumerate_dispersion_free,
+    generated_sublattice,
     is_compatible,
+    is_distributive_subset,
+    lattice_from_leq,
     parse_lattice,
     serialize_lattice,
 )
@@ -87,6 +92,53 @@ def test_product_states_agree_with_brute_force(first, second):
     assert got == oracles.brute_force_dispersion_free(
         lat, compat=compatibility_relation(lat)
     )
+
+
+# ---------------------------------------------------------------------------
+# random bounded posets: lattice tables, non-lattice witnesses, blocks
+
+
+@st.composite
+def bounded_posets(draw):
+    """Order matrix of a random DAG between a bottom and a top, indices shuffled."""
+    k = draw(st.integers(0, 12))
+    edges = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    n = k + 2
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, n - 1] = True
+    leq[1 : k + 1, 1 : k + 1] |= np.triu(np.reshape(edges, (k, k)).astype(bool), 1)
+    for m in range(n):
+        leq |= leq[:, m, None] & leq[m, None, :]
+    perm = draw(st.permutations(range(n)))
+    return leq[np.ix_(perm, perm)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(leq=bounded_posets(), data=st.data())
+def test_random_posets_match_naive_bounds(leq, data):
+    n = leq.shape[0]
+    poset = SimpleNamespace(leq=leq, n=n)
+    meets = [[oracles.naive_meet(poset, a, b) for b in range(n)] for a in range(n)]
+    joins = [[oracles.naive_join(poset, a, b) for b in range(n)] for a in range(n)]
+    unbounded = [
+        (a, b)
+        for a in range(n)
+        for b in range(a, n)
+        if meets[a][b] is None or joins[a][b] is None
+    ]
+    try:
+        lat = lattice_from_leq([f"e{i}" for i in range(n)], leq)
+    except NotALattice as err:
+        assert unbounded and err.witness == unbounded[0]
+        return
+    assert not unbounded
+    assert lat.meet.tolist() == meets and lat.join.tolist() == joins
+    seeds = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
+    for seed in seeds:
+        block = generated_sublattice(lat, seed)
+        assert set(block) == oracles.naive_closure(lat, seed)
+        triple = oracles.naive_distributive_witness(lat, block)
+        assert is_distributive_subset(lat, block) == (triple is None, triple)
 
 
 # ---------------------------------------------------------------------------
