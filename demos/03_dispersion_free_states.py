@@ -3,8 +3,9 @@
 A state maps each question class to [0, 1] subject to normalization,
 additivity on compatible pairs, and meet closure of certainty.  Demanding
 that repeated equivalent questions agree forces two-valued (dispersion-free)
-states; this script enumerates them exactly and shows the structural price:
-lattices with trivial centers admit none.
+states.  Each one is the filter above a central atom, so this script reads
+them off the center and shows the structural price: lattices with trivial
+centers admit none.
 """
 
 from fractions import Fraction
@@ -36,7 +37,7 @@ print("uniform 1/2 on MO2 is a state:", ok)
 print("... but dispersion-free:", is_dispersion_free(mo2, uniform))
 print()
 
-# Exact enumeration of all two-valued states, against the center.
+# All two-valued states, one per central atom, against the center.
 for name in ("B4", "B8", "MO2", "MO3", "MO2xB2"):
     lat = catalog(name)
     report = enumerate_dispersion_free(lat)

@@ -3,18 +3,21 @@
 A state assigns each element a value in [0, 1] such that the bounds get 0
 and 1, compatible pairs are additive (mu(a) + mu(b) == mu(a^b) + mu(avb)),
 and elements valued 1 are closed under meet.  Dispersion-free states are the
-two-valued ones; they are enumerated exactly by backtracking with constraint
-propagation.
+two-valued ones, and they live in the center: the 1-set of one is the filter
+above a central atom, and every central atom gives one.  A state that reads
+values off without disturbing anything therefore sees only the
+non-contextual part of the lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .analysis import center, compatibility_relation, require_orthomodular
+from .analysis import center, compatibility_relation
 from .errors import NotAState, TooLarge
 from .lattice import Lattice
 
@@ -65,36 +68,46 @@ def is_state(lattice: Lattice, state, *, tol=0) -> tuple[bool, tuple | None]:
     """Check the three state axioms; returns (ok, first violated axiom).
 
     Witnesses are ``(axiom, element indices)`` with axiom one of ``range``,
-    ``normalization``, ``additivity``, ``meet_closure``.  ``tol`` loosens
-    every equality; the default 0 demands exact rational equality.
+    ``normalization``, ``additivity``, ``meet_closure``: the first failing
+    index for range, then bottom before top, then the first compatible pair
+    a < b in row-major order, then the first pair a <= b of elements valued 1.
+    ``tol`` loosens every equality; the default 0 demands exact rational
+    equality.  All comparisons are exact: values and ``tol`` are scaled to
+    integers over one common denominator.
     """
-    require_orthomodular(lattice)
-    values = _coerce(state)
-    if len(values) != lattice.n:
-        raise ValueError(f"state has {len(values)} values for {lattice.n} elements")
-    for i, v in enumerate(values):
-        if v < -tol or v > 1 + tol:
-            return False, ("range", (i,))
-    if abs(values[lattice.bottom]) > tol:
-        return False, ("normalization", (lattice.bottom,))
-    if abs(values[lattice.top] - 1) > tol:
-        return False, ("normalization", (lattice.top,))
     relation = compatibility_relation(lattice)
-    meet = lattice.meet
-    join = lattice.join
+    values = _coerce(state)
     n = lattice.n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not relation[a, b]:
-                continue
-            gap = values[a] + values[b] - values[meet[a, b]] - values[join[a, b]]
-            if abs(gap) > tol:
-                return False, ("additivity", (a, b))
-    ones = [i for i in range(n) if abs(values[i] - 1) <= tol]
-    for i, a in enumerate(ones):
-        for b in ones[i:]:
-            if abs(values[meet[a, b]] - 1) > tol:
-                return False, ("meet_closure", (a, b))
+    if len(values) != n:
+        raise ValueError(f"state has {len(values)} values for {n} elements")
+    # 1 + tol is formed in tol's own arithmetic (rounded for a float tol)
+    tol, ceiling = Fraction(tol), Fraction(1 + tol)
+    scale = math.lcm(
+        tol.denominator, ceiling.denominator, *(v.denominator for v in values)
+    )
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    num = np.array([scaled(v) for v in values], dtype=object)
+    slack = scaled(tol)
+    out = np.flatnonzero((num < -slack) | (num > scaled(ceiling)))
+    if out.size:
+        return False, ("range", (int(out[0]),))
+    if abs(num[lattice.bottom]) > slack:
+        return False, ("normalization", (lattice.bottom,))
+    if abs(num[lattice.top] - scale) > slack:
+        return False, ("normalization", (lattice.top,))
+    meet = lattice.meet
+    a, b = np.nonzero(np.triu(relation, 1))
+    gap = num[a] + num[b] - num[meet[a, b]] - num[lattice.join[a, b]]
+    bad = np.flatnonzero(abs(gap) > slack)
+    if bad.size:
+        return False, ("additivity", (int(a[bad[0]]), int(b[bad[0]])))
+    one = abs(num - scale) <= slack
+    bad = np.argwhere(np.triu(np.outer(one, one)) & ~one[meet])
+    if bad.size:
+        return False, ("meet_closure", (int(bad[0, 0]), int(bad[0, 1])))
     return True, None
 
 
@@ -111,8 +124,9 @@ def is_dispersion_free(lattice: Lattice, state, *, tol=0) -> bool:
 class DispersionFreeReport:
     """All two-valued states plus the center-triviality cross-check.
 
-    ``theorem_consistent`` is false only if two-valued states coexist with a
-    trivial center, which no orthomodular lattice admits.
+    ``theorem_consistent`` is false when two-valued states coexist with a
+    trivial center.  Every state comes from a central atom, so this happens
+    only when the top is itself an atom: on the two-element lattice B2.
     """
 
     states: tuple[LatticeState, ...]
@@ -121,81 +135,32 @@ class DispersionFreeReport:
 
 
 def enumerate_dispersion_free(lattice: Lattice) -> DispersionFreeReport:
-    """Enumerate every dispersion-free state by exact backtracking.
+    """Every dispersion-free state, one per central atom m: y -> [m <= y].
 
-    Branches on the lowest unassigned element, value 0 before 1, so the
-    output is lexicographic in the value vectors.  Propagation: complements
-    are forced to 1 - v, assigning 1 (0) forces everything above (below),
-    a pair at 1 forces its meet (meet closure is unrestricted), a pair at 0
-    forces its join, and an assigned compatible pair forces both by
-    additivity.  Complete assignments are re-verified with :func:`is_state`.
+    The 1-set of a two-valued state is an up-set closed under meets, so it
+    is the principal filter above its least element m.  It holds exactly one
+    of y and y' for every y, so m is an atom below y or y' for every y, hence
+    central.  Conversely a central atom distributes over joins, so
+    y -> [m <= y] is additive, and each central atom gives one state.
+    States are listed in lexicographic order of their value vectors.
+    Raises :class:`TooLarge` above ``MAX_ENUMERATION_SIZE`` elements and
+    :class:`NotOrthomodular` on lattices that are not orthomodular.
     """
     if lattice.n > MAX_ENUMERATION_SIZE:
         raise TooLarge(
             f"{lattice.n} elements exceeds the enumeration cap {MAX_ENUMERATION_SIZE}"
         )
-    require_orthomodular(lattice)
-    n = lattice.n
-    relation = compatibility_relation(lattice)
-    meet, join, ortho, leq = lattice.meet, lattice.join, lattice.ortho, lattice.leq
-    above = [np.flatnonzero(leq[i, :]) for i in range(n)]
-    below = [np.flatnonzero(leq[:, i]) for i in range(n)]
-
-    def assign(values: np.ndarray, start: int, value: int) -> bool:
-        queue = [(start, value)]
-        while queue:
-            i, v = queue.pop()
-            cur = values[i]
-            if cur == v:
-                continue
-            if cur == 1 - v:
-                return False
-            values[i] = v
-            queue.append((int(ortho[i]), 1 - v))
-            neighbors = above[i] if v == 1 else below[i]
-            for j in neighbors:
-                queue.append((int(j), v))
-            for j in np.flatnonzero(values >= 0):
-                j = int(j)
-                total = v + int(values[j])
-                if total == 2:
-                    queue.append((int(meet[i, j]), 1))
-                elif total == 0:
-                    queue.append((int(join[i, j]), 0))
-                elif relation[i, j]:
-                    queue.append((int(meet[i, j]), 0))
-                    queue.append((int(join[i, j]), 1))
-        return True
-
-    solutions: list[tuple[int, ...]] = []
-
-    def explore(values: np.ndarray) -> None:
-        free = np.flatnonzero(values < 0)
-        if not free.size:
-            solutions.append(tuple(int(v) for v in values))
-            return
-        pivot = int(free[0])
-        for v in (0, 1):
-            trial = values.copy()
-            if assign(trial, pivot, v):
-                explore(trial)
-
-    initial = np.full(n, -1, dtype=np.int8)
-    if assign(initial, lattice.bottom, 0) and assign(initial, lattice.top, 1):
-        explore(initial)
-
-    states = []
-    for sol in sorted(solutions):
-        candidate = LatticeState.from_values(sol)
-        ok, _ = is_state(lattice, candidate)
-        if ok:
-            states.append(candidate)
-
-    trivial = center(lattice).is_trivial
+    report = center(lattice)
+    leq = lattice.leq
+    rows = sorted(
+        tuple(leq[m].tolist()) for m in report.members if leq[:, m].sum() == 2
+    )
+    zero_one = (Fraction(0), Fraction(1))
+    states = tuple(LatticeState(tuple(zero_one[v] for v in row)) for row in rows)
     return DispersionFreeReport(
-        states=tuple(states),
-        center_is_trivial=trivial,
-        theorem_consistent=not (states and trivial),
+        states=states,
+        center_is_trivial=report.is_trivial,
+        theorem_consistent=not (states and report.is_trivial),
     )
 
 

@@ -1,10 +1,18 @@
 """Naive reference implementations, kept independent of the library paths.
 
-Everything here is plain-Python loops over the order matrix so the fast
+Most of this is plain-Python loops over the order matrix so the fast
 vectorized implementations have something honest to disagree with.
+``backtrack_dispersion_free`` is a constraint-propagating search that reaches
+the two-valued states without the central-atom closed form the library uses.
 """
 
+from fractions import Fraction
 from itertools import product
+
+import numpy as np
+
+from orthologic import lattice_from_covers
+from orthologic.analysis import compatibility_relation
 
 
 def lower_set(lat, a):
@@ -124,6 +132,122 @@ def brute_force_dispersion_free(lat, compat=None):
         if ok:
             found.append(assignment)
     return found
+
+
+def naive_is_state(lat, values, tol=0, compat=None):
+    """The state axioms checked pair by pair; returns (ok, first violated axiom).
+
+    Same witnesses as ``orthologic.is_state``.  ``compat`` may be supplied
+    to reuse an already-vetted relation; it defaults to the naive one.
+    """
+    if compat is None:
+        compat = naive_compatibility_matrix(lat)
+    values = [Fraction(v) for v in values]
+    for i, v in enumerate(values):
+        if v < -tol or v > 1 + tol:
+            return False, ("range", (i,))
+    if abs(values[lat.bottom]) > tol:
+        return False, ("normalization", (lat.bottom,))
+    if abs(values[lat.top] - 1) > tol:
+        return False, ("normalization", (lat.top,))
+    meet, join, n = lat.meet, lat.join, lat.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not compat[a][b]:
+                continue
+            gap = values[a] + values[b] - values[meet[a, b]] - values[join[a, b]]
+            if abs(gap) > tol:
+                return False, ("additivity", (a, b))
+    ones = [i for i in range(n) if abs(values[i] - 1) <= tol]
+    for i, a in enumerate(ones):
+        for b in ones[i:]:
+            if abs(values[meet[a, b]] - 1) > tol:
+                return False, ("meet_closure", (a, b))
+    return True, None
+
+
+def backtrack_dispersion_free(lat):
+    """All two-valued states by backtracking search, in lexicographic order.
+
+    Branches on the lowest unassigned element, value 0 before 1.
+    Propagation: complements are forced to 1 - v, assigning 1 (0) forces
+    everything above (below), a pair at 1 forces its meet (meet closure is
+    unrestricted), a pair at 0 forces its join, and an assigned compatible
+    pair forces both by additivity.
+    """
+    n = lat.n
+    relation = compatibility_relation(lat)
+    meet, join, ortho, leq = lat.meet, lat.join, lat.ortho, lat.leq
+    above = [np.flatnonzero(leq[i, :]) for i in range(n)]
+    below = [np.flatnonzero(leq[:, i]) for i in range(n)]
+
+    def assign(values, start, value):
+        queue = [(start, value)]
+        while queue:
+            i, v = queue.pop()
+            cur = values[i]
+            if cur == v:
+                continue
+            if cur == 1 - v:
+                return False
+            values[i] = v
+            queue.append((int(ortho[i]), 1 - v))
+            neighbors = above[i] if v == 1 else below[i]
+            for j in neighbors:
+                queue.append((int(j), v))
+            for j in np.flatnonzero(values >= 0):
+                j = int(j)
+                total = v + int(values[j])
+                if total == 2:
+                    queue.append((int(meet[i, j]), 1))
+                elif total == 0:
+                    queue.append((int(join[i, j]), 0))
+                elif relation[i, j]:
+                    queue.append((int(meet[i, j]), 0))
+                    queue.append((int(join[i, j]), 1))
+        return True
+
+    solutions = []
+
+    def explore(values):
+        free = np.flatnonzero(values < 0)
+        if not free.size:
+            solutions.append(tuple(int(v) for v in values))
+            return
+        pivot = int(free[0])
+        for v in (0, 1):
+            trial = values.copy()
+            if assign(trial, pivot, v):
+                explore(trial)
+
+    initial = np.full(n, -1, dtype=np.int8)
+    if assign(initial, lat.bottom, 0) and assign(initial, lat.top, 1):
+        explore(initial)
+    return sorted(solutions)
+
+
+def greechie_pasting(blocks):
+    """Greechie pasting of 3-atom Boolean blocks, given as tuples of atom names.
+
+    Elements are 0, the atoms, their complements x' and 1.  In a 3-atom
+    block y' is the join of the other two atoms, so x < y' is a cover for
+    distinct atoms x, y of one block.  The result is an orthomodular lattice
+    when every loop of blocks has order at least 5 (Greechie's loop lemma).
+    """
+    atoms = list(dict.fromkeys(x for block in blocks for x in block))
+    names = ["0", *atoms, *(f"{x}'" for x in atoms), "1"]
+    index = {name: i for i, name in enumerate(names)}
+    covers = {(0, index[x]) for x in atoms}
+    covers |= {(index[f"{x}'"], index["1"]) for x in atoms}
+    covers |= {
+        (index[x], index[f"{y}'"])
+        for block in blocks
+        for x in block
+        for y in block
+        if x != y
+    }
+    orthos = [(index[x], index[f"{x}'"]) for x in atoms] + [(0, index["1"])]
+    return lattice_from_covers(names, sorted(covers), orthos)
 
 
 def exhaustive_decomposition_exists(lat, a, b):

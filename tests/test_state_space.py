@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import product
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import orthologic.states
+from conftest import OML_CATALOG
 from orthologic import (
     LatticeState,
     NotAState,
@@ -165,6 +168,59 @@ def test_enumeration_at_the_size_cap():
     assert report.theorem_consistent
 
 
+STATE_SEARCH_PRODUCTS = (
+    ("B8", "B8"),
+    ("B4", "B4", "B4"),
+    ("B2", "B4", "B8"),
+    ("MO3", "B8"),
+    ("MO2", "B2", "B4"),
+    ("MO3", "MO2"),
+)
+
+# Greechie pastings of 3-atom blocks: (blocks, number of states, trivial center)
+PASTINGS = {
+    "chain2": (("abc", "cde"), 1, False),
+    "chain4": (("abc", "cde", "efg", "ghi"), 0, True),
+    "pentagon": (("abc", "cde", "efg", "ghi", "ija"), 0, True),
+}
+
+
+def _assert_matches_backtracking(lat):
+    report = enumerate_dispersion_free(lat)
+    got = [tuple(int(v) for v in state.values) for state in report.states]
+    assert got == oracles.backtrack_dispersion_free(lat)
+    for state in report.states:
+        ok, _ = is_state(lat, state)
+        assert ok and is_dispersion_free(lat, state)
+    return report
+
+
+def test_closed_form_matches_backtracking_on_catalog(oml):
+    _assert_matches_backtracking(oml)
+
+
+@pytest.mark.parametrize("names", STATE_SEARCH_PRODUCTS, ids="x".join)
+def test_closed_form_matches_backtracking_on_products(names):
+    _assert_matches_backtracking(reduce(direct_product, map(catalog, names)))
+
+
+@pytest.mark.parametrize("name", PASTINGS)
+def test_closed_form_matches_backtracking_on_pastings(name):
+    blocks, count, trivial = PASTINGS[name]
+    report = _assert_matches_backtracking(oracles.greechie_pasting(blocks))
+    assert len(report.states) == count
+    assert report.center_is_trivial == trivial
+
+
+def test_enumeration_does_not_recheck_states(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_dispersion_free re-checked a state")
+
+    monkeypatch.setattr(orthologic.states, "is_state", refuse)
+    cube = direct_product(catalog("B8"), catalog("B8"))
+    assert len(enumerate_dispersion_free(cube).states) == 6
+
+
 def test_exhaustive_mo2_assignments_never_form_a_state(mo2):
     # sharpening of the zero count: every two-valued map fails some axiom
     for bits in product((0, 1), repeat=mo2.n):
@@ -188,6 +244,54 @@ def test_restriction_to_factor_along_central_one():
             )
             ok, _ = is_state(factor, induced)
             assert ok and is_dispersion_free(factor, induced)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised axiom check against the pair-by-pair loop
+
+
+@cache
+def _naive_relation(name):
+    return oracles.naive_compatibility_matrix(catalog(name))
+
+
+# no deadline: the first draw of each name builds its naive relation
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(OML_CATALOG),
+    data=st.data(),
+    pin_bounds=st.booleans(),
+)
+def test_is_state_matches_naive_on_half_integer_values(name, data, pin_bounds):
+    lat = catalog(name)
+    halves = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1)))
+    values = data.draw(st.lists(halves, min_size=lat.n, max_size=lat.n))
+    if pin_bounds:
+        values[lat.bottom], values[lat.top] = Fraction(0), Fraction(1)
+    assert is_state(lat, values) == oracles.naive_is_state(
+        lat, values, compat=_naive_relation(name)
+    )
+
+
+# no deadline: the first draw of each name builds its naive relation
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(OML_CATALOG),
+    data=st.data(),
+    tol=st.sampled_from((1e-9, 1e-6, 1e-4, 0.01)),
+)
+def test_is_state_matches_naive_under_float_perturbation(name, data, tol):
+    lat = catalog(name)
+    half = [Fraction(1, 2)] * lat.n  # a state on MO2 and MO3
+    half[lat.bottom], half[lat.top] = Fraction(0), Fraction(1)
+    bases = [half] + [state.values for state in enumerate_dispersion_free(lat).states]
+    base = data.draw(st.sampled_from(bases))
+    noise = st.floats(min_value=-1e-3, max_value=1e-3, allow_subnormal=False)
+    shifts = data.draw(st.lists(noise, min_size=lat.n, max_size=lat.n))
+    values = [float(v) + shift for v, shift in zip(base, shifts)]
+    assert is_state(lat, values, tol=tol) == oracles.naive_is_state(
+        lat, values, tol=tol, compat=_naive_relation(name)
+    )
 
 
 # ---------------------------------------------------------------------------
