@@ -11,13 +11,12 @@ non-contextual part of the lattice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .analysis import center, compatibility_relation
+from .analysis import center, compatibility_relation, require_orthomodular
 from .errors import NotAState, TooLarge
 from .lattice import Lattice
 
@@ -68,46 +67,36 @@ def is_state(lattice: Lattice, state, *, tol=0) -> tuple[bool, tuple | None]:
     """Check the three state axioms; returns (ok, first violated axiom).
 
     Witnesses are ``(axiom, element indices)`` with axiom one of ``range``,
-    ``normalization``, ``additivity``, ``meet_closure``: the first failing
-    index for range, then bottom before top, then the first compatible pair
-    a < b in row-major order, then the first pair a <= b of elements valued 1.
-    ``tol`` loosens every equality; the default 0 demands exact rational
-    equality.  All comparisons are exact: values and ``tol`` are scaled to
-    integers over one common denominator.
+    ``normalization``, ``additivity``, ``meet_closure``.  ``tol`` loosens
+    every equality; the default 0 demands exact rational equality.
     """
-    relation = compatibility_relation(lattice)
+    require_orthomodular(lattice)
     values = _coerce(state)
-    n = lattice.n
-    if len(values) != n:
-        raise ValueError(f"state has {len(values)} values for {n} elements")
-    # 1 + tol is formed in tol's own arithmetic (rounded for a float tol)
-    tol, ceiling = Fraction(tol), Fraction(1 + tol)
-    scale = math.lcm(
-        tol.denominator, ceiling.denominator, *(v.denominator for v in values)
-    )
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    num = np.array([scaled(v) for v in values], dtype=object)
-    slack = scaled(tol)
-    out = np.flatnonzero((num < -slack) | (num > scaled(ceiling)))
-    if out.size:
-        return False, ("range", (int(out[0]),))
-    if abs(num[lattice.bottom]) > slack:
+    if len(values) != lattice.n:
+        raise ValueError(f"state has {len(values)} values for {lattice.n} elements")
+    for i, v in enumerate(values):
+        if v < -tol or v > 1 + tol:
+            return False, ("range", (i,))
+    if abs(values[lattice.bottom]) > tol:
         return False, ("normalization", (lattice.bottom,))
-    if abs(num[lattice.top] - scale) > slack:
+    if abs(values[lattice.top] - 1) > tol:
         return False, ("normalization", (lattice.top,))
+    relation = compatibility_relation(lattice)
     meet = lattice.meet
-    a, b = np.nonzero(np.triu(relation, 1))
-    gap = num[a] + num[b] - num[meet[a, b]] - num[lattice.join[a, b]]
-    bad = np.flatnonzero(abs(gap) > slack)
-    if bad.size:
-        return False, ("additivity", (int(a[bad[0]]), int(b[bad[0]])))
-    one = abs(num - scale) <= slack
-    bad = np.argwhere(np.triu(np.outer(one, one)) & ~one[meet])
-    if bad.size:
-        return False, ("meet_closure", (int(bad[0, 0]), int(bad[0, 1])))
+    join = lattice.join
+    n = lattice.n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not relation[a, b]:
+                continue
+            gap = values[a] + values[b] - values[meet[a, b]] - values[join[a, b]]
+            if abs(gap) > tol:
+                return False, ("additivity", (a, b))
+    ones = [i for i in range(n) if abs(values[i] - 1) <= tol]
+    for i, a in enumerate(ones):
+        for b in ones[i:]:
+            if abs(values[meet[a, b]] - 1) > tol:
+                return False, ("meet_closure", (a, b))
     return True, None
 
 

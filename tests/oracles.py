@@ -6,7 +6,6 @@ vectorized implementations have something honest to disagree with.
 the two-valued states without the central-atom closed form the library uses.
 """
 
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -132,38 +131,6 @@ def brute_force_dispersion_free(lat, compat=None):
         if ok:
             found.append(assignment)
     return found
-
-
-def naive_is_state(lat, values, tol=0, compat=None):
-    """The state axioms checked pair by pair; returns (ok, first violated axiom).
-
-    Same witnesses as ``orthologic.is_state``.  ``compat`` may be supplied
-    to reuse an already-vetted relation; it defaults to the naive one.
-    """
-    if compat is None:
-        compat = naive_compatibility_matrix(lat)
-    values = [Fraction(v) for v in values]
-    for i, v in enumerate(values):
-        if v < -tol or v > 1 + tol:
-            return False, ("range", (i,))
-    if abs(values[lat.bottom]) > tol:
-        return False, ("normalization", (lat.bottom,))
-    if abs(values[lat.top] - 1) > tol:
-        return False, ("normalization", (lat.top,))
-    meet, join, n = lat.meet, lat.join, lat.n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not compat[a][b]:
-                continue
-            gap = values[a] + values[b] - values[meet[a, b]] - values[join[a, b]]
-            if abs(gap) > tol:
-                return False, ("additivity", (a, b))
-    ones = [i for i in range(n) if abs(values[i] - 1) <= tol]
-    for i, a in enumerate(ones):
-        for b in ones[i:]:
-            if abs(values[meet[a, b]] - 1) > tol:
-                return False, ("meet_closure", (a, b))
-    return True, None
 
 
 def backtrack_dispersion_free(lat):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 import orthologic.states
-from conftest import OML_CATALOG
 from orthologic import (
     LatticeState,
     NotAState,
@@ -195,10 +194,6 @@ def _assert_matches_backtracking(lat):
     return report
 
 
-def test_closed_form_matches_backtracking_on_catalog(oml):
-    _assert_matches_backtracking(oml)
-
-
 @pytest.mark.parametrize("names", STATE_SEARCH_PRODUCTS, ids="x".join)
 def test_closed_form_matches_backtracking_on_products(names):
     _assert_matches_backtracking(reduce(direct_product, map(catalog, names)))
@@ -244,54 +239,6 @@ def test_restriction_to_factor_along_central_one():
             )
             ok, _ = is_state(factor, induced)
             assert ok and is_dispersion_free(factor, induced)
-
-
-# ---------------------------------------------------------------------------
-# the vectorised axiom check against the pair-by-pair loop
-
-
-@cache
-def _naive_relation(name):
-    return oracles.naive_compatibility_matrix(catalog(name))
-
-
-# no deadline: the first draw of each name builds its naive relation
-@settings(max_examples=200, deadline=None)
-@given(
-    name=st.sampled_from(OML_CATALOG),
-    data=st.data(),
-    pin_bounds=st.booleans(),
-)
-def test_is_state_matches_naive_on_half_integer_values(name, data, pin_bounds):
-    lat = catalog(name)
-    halves = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1)))
-    values = data.draw(st.lists(halves, min_size=lat.n, max_size=lat.n))
-    if pin_bounds:
-        values[lat.bottom], values[lat.top] = Fraction(0), Fraction(1)
-    assert is_state(lat, values) == oracles.naive_is_state(
-        lat, values, compat=_naive_relation(name)
-    )
-
-
-# no deadline: the first draw of each name builds its naive relation
-@settings(max_examples=200, deadline=None)
-@given(
-    name=st.sampled_from(OML_CATALOG),
-    data=st.data(),
-    tol=st.sampled_from((1e-9, 1e-6, 1e-4, 0.01)),
-)
-def test_is_state_matches_naive_under_float_perturbation(name, data, tol):
-    lat = catalog(name)
-    half = [Fraction(1, 2)] * lat.n  # a state on MO2 and MO3
-    half[lat.bottom], half[lat.top] = Fraction(0), Fraction(1)
-    bases = [half] + [state.values for state in enumerate_dispersion_free(lat).states]
-    base = data.draw(st.sampled_from(bases))
-    noise = st.floats(min_value=-1e-3, max_value=1e-3, allow_subnormal=False)
-    shifts = data.draw(st.lists(noise, min_size=lat.n, max_size=lat.n))
-    values = [float(v) + shift for v, shift in zip(base, shifts)]
-    assert is_state(lat, values, tol=tol) == oracles.naive_is_state(
-        lat, values, tol=tol, compat=_naive_relation(name)
-    )
 
 
 # ---------------------------------------------------------------------------
