@@ -3,8 +3,10 @@
 Two elements are compatible when the sublattice generated by them and their
 complements is distributive.  On an orthomodular lattice this is equivalent
 to the identity (a ^ b) v (~a ^ b) == b, and to the existence of a mutually
-orthogonal decomposition a = a' v c, b = b' v c.  All three routes are
-implemented independently so they can cross-check each other.
+orthogonal decomposition a = a' v c, b = b' v c.  The definitional route is
+independent of the identity; the decomposition route builds its witness
+(a ^ ~b, b ^ ~a, a ^ b) from the identity, and the tests check it against an
+exhaustive search over all triples.
 """
 
 from __future__ import annotations
@@ -49,25 +51,25 @@ def require_orthomodular(lattice: Lattice) -> None:
         )
 
 
+def _identity_holds(lattice: Lattice, a=slice(None), b=slice(None)):
+    """(a ^ b) v (~a ^ b) == b for one pair, or for every a and/or b via slices.
+
+    Slices, unlike broadcast index arrays, read ``meet`` in place.
+    """
+    meet, join, ortho = lattice.meet, lattice.join, lattice.ortho
+    return join[meet[a, b], meet[ortho[a], b]] == np.arange(lattice.n)[b]
+
+
 def is_compatible(lattice: Lattice, a: int, b: int) -> bool:
     """Compatibility via (a ^ b) v (~a ^ b) == b; valid on orthomodular lattices."""
     require_orthomodular(lattice)
-    return _compatible_identity(lattice, a, b)
-
-
-def _compatible_identity(lattice: Lattice, a: int, b: int) -> bool:
-    na = lattice.ortho[a]
-    return int(lattice.join[lattice.meet[a, b], lattice.meet[na, b]]) == b
+    return bool(_identity_holds(lattice, a, b))
 
 
 def compatibility_relation(lattice: Lattice) -> np.ndarray:
     """Boolean matrix of pairwise compatibility (symmetric on OMLs)."""
     require_orthomodular(lattice)
-    n = lattice.n
-    ar = np.arange(n)
-    meet, join, ortho = lattice.meet, lattice.join, lattice.ortho
-    rebuilt = join[meet, meet[ortho, :]]
-    return rebuilt == ar[None, :]
+    return _identity_holds(lattice)
 
 
 def compatible_via_definition(lattice: Lattice, a: int, b: int) -> bool:
@@ -93,53 +95,19 @@ class Decomposition:
     common: int
 
 
-def _decomposition_is_valid(lattice: Lattice, a: int, b: int, d: Decomposition) -> bool:
-    leq, join, ortho = lattice.leq, lattice.join, lattice.ortho
-    pairs = ((d.a_part, d.b_part), (d.a_part, d.common), (d.b_part, d.common))
-    if not all(leq[x, ortho[y]] for x, y in pairs):
-        return False
-    return int(join[d.a_part, d.common]) == a and int(join[d.b_part, d.common]) == b
-
-
-def _decomposition_search(lattice: Lattice, a: int, b: int) -> Decomposition | None:
-    """Exhaustive scan over all candidate triples; None when none is valid."""
-    n = lattice.n
-    leq, join, ortho = lattice.leq, lattice.join, lattice.ortho
-    for common in range(n):
-        a_parts = np.flatnonzero((join[:, common] == a) & leq[:, ortho[common]])
-        if not a_parts.size:
-            continue
-        b_parts = np.flatnonzero((join[:, common] == b) & leq[:, ortho[common]])
-        if not b_parts.size:
-            continue
-        hits = leq[np.ix_(a_parts, ortho[b_parts])]
-        if hits.any():
-            i, j = np.argwhere(hits)[0]
-            return Decomposition(int(a_parts[i]), int(b_parts[j]), common)
-    return None
-
-
 def compatible_decomposition(lattice: Lattice, a: int, b: int) -> Decomposition | None:
     """Orthogonal decomposition witnessing compatibility, or ``None``.
 
-    For compatible pairs returns (a ^ ~b, b ^ ~a, a ^ b).  For incompatible
-    pairs on lattices with at most 32 elements, an exhaustive search doubles
-    as a consistency check that no valid triple exists at all.
+    For compatible pairs returns (a ^ ~b, b ^ ~a, a ^ b): the Foulis-Holland
+    decomposition, valid on every orthomodular lattice.
     """
     require_orthomodular(lattice)
-    if _compatible_identity(lattice, a, b):
-        found = Decomposition(
-            int(lattice.meet[a, lattice.ortho[b]]),
-            int(lattice.meet[b, lattice.ortho[a]]),
-            int(lattice.meet[a, b]),
-        )
-        assert _decomposition_is_valid(lattice, a, b, found)
-        return found
-    if lattice.n <= 32 and _decomposition_search(lattice, a, b) is not None:
-        raise AssertionError(
-            "decomposition exists for a pair the identity calls incompatible"
-        )
-    return None
+    if not _identity_holds(lattice, a, b):
+        return None
+    meet, ortho = lattice.meet, lattice.ortho
+    return Decomposition(
+        int(meet[a, ortho[b]]), int(meet[b, ortho[a]]), int(meet[a, b])
+    )
 
 
 def incompatibility_witness(lattice: Lattice, q: int) -> int | None:
@@ -150,9 +118,7 @@ def incompatibility_witness(lattice: Lattice, q: int) -> int | None:
     """
     if lattice.ortho is None:
         raise BadOrtho("incompatibility witness needs an orthocomplementation")
-    meet, join, ortho = lattice.meet, lattice.join, lattice.ortho
-    rebuilt = join[meet[q, :], meet[q, ortho]]
-    bad = np.flatnonzero(rebuilt != q)
+    bad = np.flatnonzero(~_identity_holds(lattice, b=q))
     return int(bad[0]) if bad.size else None
 
 

@@ -8,6 +8,7 @@ human-readable rendering) and follow ``reporting.REPORT_SCHEMA``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -47,11 +48,20 @@ from .quantum import (
 )
 from .reporting import build_report, digest, render_json, render_text
 from .states import enumerate_dispersion_free
-from .wigner import scenario_from_json, scenario_preset, tradeoff, verify_class_relations
+from .wigner import (
+    _PRESETS as WIGNER_PRESETS,
+    scenario_from_json,
+    scenario_preset,
+    tradeoff,
+    verify_class_relations,
+)
 
 REQUIRED_PROPERTIES = ("lattice", "bounded", "orthocomplemented", "orthomodular")
-QUANTUM_PRESETS = ("qubit-zx", "qubit-z", "qutrit-commuting")
-WIGNER_PRESETS = ("cnot", "identity", "swap")
+QUANTUM_PRESETS = {
+    "qubit-zx": qubit_zx_lattice,
+    "qubit-z": qubit_z_lattice,
+    "qutrit-commuting": qutrit_commuting_lattice,
+}
 
 
 def _load_lattice(token: str, inputs: dict) -> Lattice:
@@ -166,16 +176,11 @@ def _cmd_product(args, inputs):
 
 def _quantum_input(args, inputs):
     if args.preset is not None:
-        builders = {
-            "qubit-zx": qubit_zx_lattice,
-            "qubit-z": qubit_z_lattice,
-            "qutrit-commuting": qutrit_commuting_lattice,
-        }
         inputs["generators"] = {
             "source": f"preset:{args.preset}",
             "sha256": digest(f"preset:{args.preset}"),
         }
-        return builders[args.preset]()
+        return QUANTUM_PRESETS[args.preset]()
     text = Path(args.generators).read_text(encoding="utf-8")
     inputs["generators"] = {
         "source": f"file:{args.generators}",
@@ -296,6 +301,7 @@ def _style_flags() -> argparse.ArgumentParser:
     return style
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     style = _style_flags()
     parser = argparse.ArgumentParser(

@@ -39,9 +39,6 @@ __all__ = [
     "serialize_lattice",
 ]
 
-CATALOG_NAMES = ("B2", "B4", "B8", "MO2", "MO3", "O6", "MO2xB2")
-
-
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """A finite bounded lattice, optionally orthocomplemented.
@@ -496,17 +493,22 @@ def classify(lattice: Lattice) -> PropertyReport:
 # sublattices
 
 
+def _checked_indices(lattice: Lattice, items) -> set[int]:
+    members = {int(i) for i in items}
+    for i in members:
+        if not 0 <= i < lattice.n:
+            raise ValueError(f"element index {i} out of range")
+    return members
+
+
 def generated_sublattice(lattice: Lattice, seed) -> tuple[int, ...]:
     """Smallest subset containing ``seed``, 0, 1, closed under meet, join, ortho.
 
     Fixed-point iteration; the result is sorted by element index.
     """
-    members = {int(i) for i in seed}
+    members = _checked_indices(lattice, seed)
     if not members:
         raise ValueError("seed set must be nonempty")
-    for i in members:
-        if not 0 <= i < lattice.n:
-            raise ValueError(f"element index {i} out of range")
     inside = np.zeros(lattice.n, dtype=bool)
     inside[[*members, lattice.bottom, lattice.top]] = True
     while True:
@@ -527,7 +529,7 @@ def is_distributive_subset(
     ``subset`` must be closed under meet and join, else :class:`NotClosed`.
     Returns ``(True, None)`` or ``(False, first_violating_triple)``.
     """
-    members = np.array(sorted({int(i) for i in subset}), dtype=np.int64)
+    members = np.array(sorted(_checked_indices(lattice, subset)), dtype=np.int64)
     inside = np.zeros(lattice.n, dtype=bool)
     inside[members] = True
     grid = np.ix_(members, members)
@@ -601,25 +603,25 @@ def _benzene_lattice() -> Lattice:
     return lattice_from_covers(names, cover_pairs, ortho_pairs)
 
 
+_CATALOG = {
+    "B2": lambda: _boolean_lattice(1),
+    "B4": lambda: _boolean_lattice(2),
+    "B8": lambda: _boolean_lattice(3),
+    "MO2": lambda: _mo_lattice(2),
+    "MO3": lambda: _mo_lattice(3),
+    "O6": _benzene_lattice,
+    "MO2xB2": lambda: direct_product(_mo_lattice(2), _boolean_lattice(1)),
+}
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def catalog(name: str) -> Lattice:
     """Built-in test lattices: B2, B4, B8, MO2, MO3, O6, MO2xB2."""
-    if name == "B2":
-        return _boolean_lattice(1)
-    if name == "B4":
-        return _boolean_lattice(2)
-    if name == "B8":
-        return _boolean_lattice(3)
-    if name == "MO2":
-        return _mo_lattice(2)
-    if name == "MO3":
-        return _mo_lattice(3)
-    if name == "O6":
-        return _benzene_lattice()
-    if name == "MO2xB2":
-        return direct_product(_mo_lattice(2), _boolean_lattice(1))
-    raise UnknownName(
-        f"unknown catalog lattice {name!r}; available: {', '.join(CATALOG_NAMES)}"
-    )
+    if name not in _CATALOG:
+        raise UnknownName(
+            f"unknown catalog lattice {name!r}; available: {', '.join(CATALOG_NAMES)}"
+        )
+    return _CATALOG[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import center, compatibility_relation, require_orthomodular
+from .analysis import center, compatibility_relation
 from .errors import NotAState, TooLarge
 from .lattice import Lattice
 
@@ -70,7 +70,7 @@ def is_state(lattice: Lattice, state, *, tol=0) -> tuple[bool, tuple | None]:
     ``normalization``, ``additivity``, ``meet_closure``.  ``tol`` loosens
     every equality; the default 0 demands exact rational equality.
     """
-    require_orthomodular(lattice)
+    relation = compatibility_relation(lattice)  # raises NotOrthomodular first
     values = _coerce(state)
     if len(values) != lattice.n:
         raise ValueError(f"state has {len(values)} values for {lattice.n} elements")
@@ -81,7 +81,6 @@ def is_state(lattice: Lattice, state, *, tol=0) -> tuple[bool, tuple | None]:
         return False, ("normalization", (lattice.bottom,))
     if abs(values[lattice.top] - 1) > tol:
         return False, ("normalization", (lattice.top,))
-    relation = compatibility_relation(lattice)
     meet = lattice.meet
     join = lattice.join
     n = lattice.n

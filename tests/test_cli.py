@@ -1,10 +1,11 @@
 import json
+import re
 
 import jsonschema
 import pytest
 
 from orthologic import parse_lattice
-from orthologic.cli import main
+from orthologic.cli import build_parser, main
 from orthologic.reporting import REPORT_SCHEMA
 
 MALFORMED_DOCS = [
@@ -299,3 +300,35 @@ def test_deterministic_commands_are_byte_identical_modulo_timing(capsys, argv):
     first, second = json.loads(out1), json.loads(out2)
     first.pop("timing_seconds"), second.pop("timing_seconds")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+PARSER_REUSE_SEQUENCE = [
+    ("--text", "check", "B8"),
+    ("check", "O6", "--require", "lattice,bounded,orthocomplemented"),
+    ("check", "O6"),
+    ("detect", "--rounds", "10"),
+    ("--catalog",),
+    ("states", "MO2xB2"),
+    ("compat", "MO2", "a", "b"),
+    ("product", "MO2", "B2"),
+    ("quantum", "--preset", "qubit-z"),
+    ("wigner", "--preset", "identity"),
+    ("detect", "--rounds", "1000", "--seed", "7", "--fraction", "0.5"),
+    (),
+    ("check", "MO2", "--text"),
+    ("compat", "--help"),
+]
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys):
+    def call(argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, re.sub(r'("timing_seconds": |timing: )[-+.e0-9]+', r"\1", out), err
+
+    reused = [call(argv) for argv in PARSER_REUSE_SEQUENCE]
+    assert build_parser.cache_info().currsize == 1
+    assert [code for code, _, _ in reused] == [0, 0, 1, 2, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0]
+    for argv, outcome in zip(PARSER_REUSE_SEQUENCE, reused):
+        build_parser.cache_clear()
+        assert call(argv) == outcome, argv

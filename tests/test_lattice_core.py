@@ -311,6 +311,14 @@ def test_is_distributive_subset_rejects_open_sets(mo2):
         is_distributive_subset(mo2, {mo2.index("a"), mo2.index("b")})
 
 
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_subset_scans_reject_out_of_range_indices(b8, bad):
+    # -1 must not wrap to the top, and n must not surface as a bare IndexError
+    for scan in (is_distributive_subset, generated_sublattice):
+        with pytest.raises(ValueError, match=f"element index {bad} out of range"):
+            scan(b8, [bad, 0])
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -116,6 +116,21 @@ def test_decomposition_invariants(oml):
         assert oml.join[d.b_part, d.common] == b
 
 
+@pytest.mark.parametrize("first, second", [("MO3", "B2"), ("MO2", "B4")])
+def test_identity_agrees_with_exhaustive_decomposition_search(first, second):
+    # past the catalog sizes criterion 2 scans: n = 16 and n = 24
+    lat = direct_product(catalog(first), catalog(second))
+    for a, b in itertools.product(range(lat.n), repeat=2):
+        if is_compatible(lat, a, b):
+            d = compatible_decomposition(lat, a, b)
+            for x, y in itertools.combinations((d.a_part, d.b_part, d.common), 2):
+                assert lat.le(x, lat.oc(y))
+            assert (lat.join[d.a_part, d.common], lat.join[d.b_part, d.common]) == (a, b)
+        else:
+            assert compatible_decomposition(lat, a, b) is None
+            assert not oracles.exhaustive_decomposition_exists(lat, a, b)
+
+
 # ---------------------------------------------------------------------------
 # incompatibility witnesses and the center
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import orthologic.analysis
 import orthologic.states
 from orthologic import (
     LatticeState,
@@ -87,6 +88,21 @@ def test_is_dispersion_free_rejects_non_states(mo2):
 def test_is_state_requires_orthomodular(o6):
     with pytest.raises(NotOrthomodular):
         is_state(o6, [0, 0, 0, 1, 1, 1])
+
+
+def test_is_state_scans_orthomodularity_once(monkeypatch, b8):
+    scan = orthologic.analysis._orthomodular_witness
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(orthologic.analysis, "_orthomodular_witness", counted)
+    p = b8.index("p")
+    ok, _ = is_state(b8, indicator(b8, {x for x in range(b8.n) if b8.le(p, x)}))
+    assert ok
+    assert len(calls) == 1
 
 
 def test_state_mapping_roundtrip(mo2):
