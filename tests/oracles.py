@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from orthologic import lattice_from_covers
+from orthologic import lattice_from_covers, lattice_from_leq
 from orthologic.analysis import compatibility_relation
 
 
@@ -31,6 +31,31 @@ def naive_join(lat, a, b):
     for s in common:
         if all(lat.leq[s, x] for x in common):
             return s
+    return None
+
+
+def naive_bounds(lat):
+    """The elements below, and above, everything."""
+    everything = range(lat.n)
+    bottom = [x for x in everything if all(lat.leq[x, y] for y in everything)]
+    top = [x for x in everything if all(lat.leq[y, x] for y in everything)]
+    return bottom[0], top[0]
+
+
+def naive_ortho_witness(lat):
+    """First violated orthocomplement law as (law, elements), or None."""
+    bottom, top = naive_bounds(lat)
+    oc = [int(x) for x in lat.ortho]
+    for a in range(lat.n):
+        if oc[oc[a]] != a:
+            return ("involution", (a,))
+        if naive_meet(lat, a, oc[a]) != bottom:
+            return ("complement_meet", (a,))
+        if naive_join(lat, a, oc[a]) != top:
+            return ("complement_join", (a,))
+        for b in range(lat.n):
+            if lat.leq[a, b] and not lat.leq[oc[b], oc[a]]:
+                return ("order_reversal", (a, b))
     return None
 
 
@@ -191,6 +216,14 @@ def backtrack_dispersion_free(lat):
     if assign(initial, lat.bottom, 0) and assign(initial, lat.top, 1):
         explore(initial)
     return sorted(solutions)
+
+
+def rebuilt_product(first, second):
+    """The direct product re-derived from its Kronecker order by the checked builder."""
+    names = [f"({a},{b})" for a in first.names for b in second.names]
+    leq = np.kron(first.leq.astype(np.uint8), second.leq.astype(np.uint8)).astype(bool)
+    ortho = (first.ortho[:, None] * second.n + second.ortho[None, :]).ravel()
+    return lattice_from_leq(names, leq, ortho)
 
 
 def greechie_pasting(blocks):

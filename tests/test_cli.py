@@ -136,6 +136,19 @@ def test_product_document_reparses(capsys):
     assert product.n == 12
 
 
+@pytest.mark.parametrize("order", ["bad-first", "bad-second"])
+def test_product_records_each_input_under_its_role(tmp_path, capsys, order):
+    # a document that fails to parse is still recorded as "first" or "second"
+    bad = tmp_path / "bad.lat"
+    bad.write_text("elements a b\nbottom a\nbottom b\n")
+    pair = (str(bad), "B2") if order == "bad-first" else ("B2", str(bad))
+    code, report = run_json(capsys, "product", *pair)
+    assert code == 2
+    roles = ["first"] if order == "bad-first" else ["first", "second"]
+    assert sorted(report["inputs"]) == roles
+    assert report["inputs"][roles[-1]]["source"] == f"file:{bad}"
+
+
 # ---------------------------------------------------------------------------
 # quantum / wigner / detect
 

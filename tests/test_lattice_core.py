@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from orthologic import lattice as lattice_module
 from orthologic import (
+    CATALOG_NAMES,
     BadOrtho,
     CycleError,
     NotALattice,
@@ -21,6 +23,7 @@ from orthologic import (
     generated_sublattice,
     is_distributive_subset,
     is_order_isomorphic,
+    lattice_from_covers,
     lattice_from_leq,
     parse_lattice,
     serialize_lattice,
@@ -216,6 +219,32 @@ def test_false_flags_carry_verifiable_witnesses(o6, mo2):
             assert lat.join[a, lat.meet[lat.oc(a), b]] != b
 
 
+@pytest.mark.parametrize(
+    "covers, distributive, triple",
+    [
+        ([(0, 1), (1, 2)], True, None),  # the 3-chain 0 < m < 1
+        ([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)], False, (1, 2, 3)),  # M3
+    ],
+    ids=["chain", "M3"],
+)
+def test_classify_without_ortho_map(covers, distributive, triple):
+    n = 1 + max(hi for _, hi in covers)
+    lat = lattice_from_covers([f"e{i}" for i in range(n)], covers)
+    report = classify(lat)
+    flags = (
+        report.is_lattice,
+        report.is_bounded,
+        report.is_orthocomplemented,
+        report.is_orthomodular,
+        report.is_distributive,
+    )
+    assert flags == (True, True, False, False, distributive)
+    expected = [("orthocomplemented", ()), ("orthomodular", ())]
+    if triple is not None:
+        expected.append(("distributive", triple))
+    assert report.witnesses == tuple(expected)
+
+
 def test_meet_join_tables_match_naive(oml):
     for a in range(oml.n):
         for b in range(oml.n):
@@ -389,6 +418,61 @@ def test_direct_product_requires_ortho():
     plain = lattice_from_leq(["0", "1"], [[True, True], [False, True]])
     with pytest.raises(BadOrtho):
         direct_product(plain, catalog("B2"))
+
+
+def _boolean_square(left, right):
+    return lattice_from_covers(
+        ["0", left, right, "1"], [(0, 1), (0, 2), (1, 3), (2, 3)], [(0, 3), (1, 2)]
+    )
+
+
+def test_direct_product_rejects_colliding_names():
+    # ("a,b", "c") and ("a", "b,c") both print as (a,b,c)
+    with pytest.raises(ValueError, match=r"duplicate element name '\(a,b,c\)'"):
+        direct_product(_boolean_square("a", "a,b"), _boolean_square("c", "b,c"))
+
+
+def same_product(got, want):
+    assert got.names == want.names
+    for field in ("leq", "meet", "join", "ortho"):
+        mine, theirs = getattr(got, field), getattr(want, field)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field
+    assert (got.bottom, got.top) == (want.bottom, want.top)
+    assert type(got.bottom) is type(got.top) is int
+
+
+@pytest.mark.parametrize("first", CATALOG_NAMES)
+def test_direct_product_matches_the_checked_rebuild(first):
+    for second in CATALOG_NAMES:
+        left, right = catalog(first), catalog(second)
+        same_product(direct_product(left, right), oracles.rebuilt_product(left, right))
+
+
+def test_product_of_products_matches_the_checked_rebuild():
+    left = direct_product(catalog("MO3"), catalog("B2"))
+    right = direct_product(catalog("B4"), catalog("B4"))
+    got = direct_product(left, right)
+    assert got.n == 256
+    same_product(got, oracles.rebuilt_product(left, right))
+
+
+def test_classify_and_product_rely_on_the_builders_certificate(monkeypatch):
+    factors, o6 = (catalog("MO2"), catalog("B4")), catalog("O6")
+    helpers = ("_order_witness", "_find_bounds", "_meet_join_tables", "_ortho_witness")
+    calls = []
+    for helper in helpers:
+        original = getattr(lattice_module, helper)
+
+        def counted(*args, _name=helper, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(lattice_module, helper, counted)
+    classify(direct_product(*factors))
+    classify(o6)
+    assert calls == []
+    catalog("B2")  # the builder itself certifies, once per helper
+    assert sorted(calls) == sorted(helpers)
 
 
 def test_order_isomorphism_negative_cases():

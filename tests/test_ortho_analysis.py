@@ -17,6 +17,7 @@ from orthologic import (
     incompatibility_witness,
     is_compatible,
     is_irreducible,
+    lattice_from_covers,
 )
 
 
@@ -129,6 +130,25 @@ def test_identity_agrees_with_exhaustive_decomposition_search(first, second):
         else:
             assert compatible_decomposition(lat, a, b) is None
             assert not oracles.exhaustive_decomposition_exists(lat, a, b)
+
+
+@pytest.mark.parametrize("past_the_end", [False, True], ids=["minus-one", "n"])
+def test_one_pair_queries_reject_out_of_range_indices(mo2, past_the_end):
+    # -1 must not wrap to the top, and n must not surface as a bare IndexError
+    def bad(n):
+        return n if past_the_end else -1
+
+    calls = [
+        lambda: is_compatible(mo2, 1, bad(mo2.n)),
+        lambda: compatible_decomposition(mo2, 1, bad(mo2.n)),
+        lambda: compatible_via_definition(mo2, 1, bad(mo2.n)),
+        lambda: incompatibility_witness(mo2, bad(mo2.n)),
+        lambda: lattice_from_covers(["0", "a", "1"], [(0, 1), (1, bad(3))]),
+        lambda: lattice_from_covers(["0", "1"], [(0, 1)], [(0, bad(2))]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"element index -?\d+ out of range"):
+            call()
 
 
 # ---------------------------------------------------------------------------

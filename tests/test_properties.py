@@ -160,9 +160,14 @@ def test_parser_total_over_garbage(lines):
         lat = parse_lattice(text)
     except OrthologicError:
         return
-    # whatever parses must be a genuine bounded lattice
-    report = classify(lat)
-    assert report.is_lattice and report.is_bounded
+    # whatever parses must be a genuine bounded lattice, with a genuine
+    # orthocomplementation when it declares one
+    pairs = [(a, b) for a in range(lat.n) for b in range(lat.n)]
+    assert [lat.meet[p] for p in pairs] == [oracles.naive_meet(lat, *p) for p in pairs]
+    assert [lat.join[p] for p in pairs] == [oracles.naive_join(lat, *p) for p in pairs]
+    assert (lat.bottom, lat.top) == oracles.naive_bounds(lat)
+    if lat.ortho is not None:
+        assert oracles.naive_ortho_witness(lat) is None
 
 
 # ---------------------------------------------------------------------------
