@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -222,16 +223,7 @@ def _cmd_wigner(args, inputs):
         )
     relations = verify_class_relations(scenario)
     detect_only, know_then_detect = tradeoff(scenario, check=False)
-    results = {
-        "cross_implication": relations.cross_implication,
-        "m_below_full_question": relations.m_below_full_question,
-        "n_full_commutator": relations.n_full_commutator,
-        "n_m_commutator": relations.n_m_commutator,
-        "n_incompatible_with_full": relations.n_incompatible_with_full,
-        "n_incompatible_with_m": relations.n_incompatible_with_m,
-        "degenerate": relations.degenerate,
-        "tradeoff": [detect_only, know_then_detect],
-    }
+    results = {**asdict(relations), "tradeoff": [detect_only, know_then_detect]}
     passed = (
         relations.cross_implication
         and relations.m_below_full_question
@@ -252,26 +244,9 @@ def _cmd_detect(args, inputs):
         eavesdrop_fraction=args.fraction,
         strategy=strategy,
     )
-    canonical = json.dumps(
-        {
-            "rounds": config.rounds,
-            "seed": config.seed,
-            "eavesdrop_fraction": config.eavesdrop_fraction,
-            "strategy": config.strategy,
-        },
-        sort_keys=True,
-    )
-    _record(inputs, "config", "arguments", canonical)
+    _record(inputs, "config", "arguments", json.dumps(asdict(config), sort_keys=True))
     stats = run_detection_protocol(config)
-    results = {
-        "strategy": strategy,
-        "eavesdrop_fraction": args.fraction,
-        "rounds": stats.rounds,
-        "compared": stats.compared,
-        "disagreements": stats.disagreements,
-        "disagreement_rate": stats.disagreement_rate,
-        "detected": stats.detected,
-    }
+    results = {"strategy": strategy, "eavesdrop_fraction": args.fraction, **asdict(stats)}
     # a disagreement without any eavesdropping would be a soundness bug
     passed = strategy != "none" or stats.disagreements == 0
     return results, [], passed

@@ -6,9 +6,18 @@ inclusion is an orthomodular lattice.  Projective (Luders) updates give
 probabilities for time-ordered answer sequences, from which the order and
 the complement can be reconstructed purely from the probability oracle.
 
-Matrices are plain complex ndarrays.  All rank and equality decisions use
-singular values against the tolerance carried by the lattice (1e-9 by
-default); dimensions up to 8 stay well-conditioned at that scale.
+Matrices are plain complex ndarrays.  Every numerical decision uses the
+tolerance ``tol`` carried by the lattice (1e-9 by default); dimensions up
+to 8 stay well-conditioned at that scale:
+
+- rank: a singular value counts when it is ``> tol``;
+- match: a projector equals the first element, in discovery order, whose
+  Frobenius distance to it is ``<= tol``;
+- order: ``P_i <= P_j`` when ``||P_j P_i - P_i|| <= tol``;
+- certainty: a conditional probability ``num / den`` is certain when
+  ``|num / den - 1| <= tol``;
+- null condition: a condition with probability ``den <= tol`` makes every
+  question certain.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .errors import (
     NotOrthomodular,
     NotUnique,
 )
-from .lattice import Lattice, lattice_from_leq
+from .lattice import Lattice, _checked_indices, lattice_from_leq
 from .states import LatticeState
 
 __all__ = [
@@ -75,6 +84,8 @@ def validate_projector(matrix, *, dim: int | None = None, tol: float = DEFAULT_T
     already pin the eigenvalues to {0, 1} at the same scale.
     """
     p = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(p).all():
+        raise BadProjector("projector has non-finite entries")
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise BadProjector(f"projector must be square, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
@@ -89,6 +100,8 @@ def validate_projector(matrix, *, dim: int | None = None, tol: float = DEFAULT_T
 def validate_density_matrix(matrix, *, dim: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check hermitian, positive semidefinite, unit trace within ``tol``."""
     rho = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise BadDensityMatrix("density matrix has non-finite entries")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise BadDensityMatrix(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
@@ -182,12 +195,15 @@ def matrix_to_json(matrix) -> list:
 
 
 def _span(mats: list[np.ndarray], tol: float) -> np.ndarray:
-    stacked = np.hstack(mats)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > tol))
-    basis = u[:, :rank]
-    p = basis @ basis.conj().T
-    return (p + p.conj().T) / 2
+    u, s, _ = np.linalg.svd(np.hstack(mats), full_matrices=False)
+    basis = u[:, : int(np.sum(s > tol))]
+    return basis @ basis.conj().T  # add() makes it exactly hermitian
+
+
+def _match(stack: np.ndarray, p: np.ndarray, tol: float) -> int | None:
+    """Index of the first projector in ``stack`` within Frobenius distance ``tol`` of ``p``."""
+    hits = np.flatnonzero(np.linalg.norm(stack - p, axis=(1, 2)) <= tol)
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,26 +269,21 @@ def projector_lattice(
         raise ValueError("names must match generators one to one")
 
     eye = np.eye(dim, dtype=complex)
-    elems: list[np.ndarray] = []
+    stack = np.empty((0, dim, dim), dtype=complex)
     labels: list[str | None] = []
 
-    def find(p: np.ndarray) -> int | None:
-        for i, q in enumerate(elems):
-            if np.linalg.norm(p - q) <= tol:
-                return i
-        return None
-
     def add(p: np.ndarray, label: str | None = None) -> int:
+        nonlocal stack
         p = (p + p.conj().T) / 2
-        i = find(p)
+        i = _match(stack, p, tol)
         if i is None:
-            if len(elems) >= max_elements:
+            if len(labels) >= max_elements:
                 raise ClosureTooLarge(
                     f"projector closure exceeds {max_elements} elements"
                 )
-            elems.append(p)
+            stack = np.concatenate([stack, p[None]])
             labels.append(label)
-            return len(elems) - 1
+            return len(labels) - 1
         if labels[i] is None and label is not None:
             labels[i] = label
         return i
@@ -282,35 +293,27 @@ def projector_lattice(
     for k, m in enumerate(mats):
         add(m, None if names is None else str(names[k]))
 
-    while True:
-        before = len(elems)
-        for i in range(before):
-            j = add(eye - elems[i])
+    # semi-naive rounds: a pair of older elements was combined in an earlier
+    # round, so each round combines only pairs that include a newer element
+    fresh = 0
+    while fresh < len(labels):
+        before = len(labels)
+        for i in range(fresh, before):
+            j = add(eye - stack[i])
             if labels[j] is None and labels[i] is not None:
                 labels[j] = "~" + labels[i]
         for i in range(before):
-            for j in range(i + 1, before):
-                add(_span([elems[i], elems[j]], tol))
+            for j in range(max(i + 1, fresh), before):
+                add(_span([stack[i], stack[j]], tol))
                 # intersection by De Morgan: complement the span of complements
-                add(eye - _span([eye - elems[i], eye - elems[j]], tol))
-        if len(elems) == before:
-            break
+                add(eye - _span([eye - stack[i], eye - stack[j]], tol))
+        fresh = before
 
-    ranks = [int(round(np.trace(p).real)) for p in elems]
-    order = sorted(range(len(elems)), key=lambda i: (ranks[i], i))
-    elems = [elems[i] for i in order]
+    order = np.argsort(np.rint(np.trace(stack, axis1=1, axis2=2).real), kind="stable")
+    stack = stack[order]
     labels = [labels[i] for i in order]
-
-    n = len(elems)
-    leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            leq[i, j] = np.linalg.norm(elems[j] @ elems[i] - elems[i]) <= tol
-    ortho = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        j = find(eye - elems[i])
-        assert j is not None  # the set is complement-closed
-        ortho[i] = j
+    leq = np.array([np.linalg.norm(stack @ p - p, axis=(1, 2)) <= tol for p in stack])
+    ortho = np.array([_match(stack, eye - p, tol) for p in stack], dtype=np.int64)
 
     final_names: list[str] = []
     seen: set[str] = set()
@@ -329,7 +332,7 @@ def projector_lattice(
             f"projector closure is not orthomodular ({exc}); tolerance too loose?"
         ) from exc
     return ProjectorLattice(
-        lattice=lat, projectors=tuple(elems), dim=dim, tol=tol
+        lattice=lat, projectors=tuple(stack), dim=dim, tol=tol
     )
 
 
@@ -408,40 +411,49 @@ def born_state(pl: ProjectorLattice, rho) -> LatticeState:
     return LatticeState(tuple(values))
 
 
-def sequence_probability(pl: ProjectorLattice, rho, sequence) -> float:
-    """Probability of a full answer sequence under chained Luders updates.
+def _luders(projectors: np.ndarray, rho: np.ndarray, steps) -> np.ndarray:
+    """Joint probability of ``steps`` under chained Luders updates.
 
     Each step sandwiches the unnormalized state with P (answer true) or
     I - P (answer false); the final trace is the joint probability.  No
-    intermediate renormalization takes place.
+    intermediate renormalization takes place.  A step's element may be an
+    index array into the stacked ``projectors``; the steps then broadcast
+    and so does the result.
     """
-    rho = validate_density_matrix(rho, dim=pl.dim, tol=pl.tol)
-    eye = np.eye(pl.dim, dtype=complex)
+    eye = np.eye(rho.shape[-1])
     sigma = rho
-    for element, answer in _steps_of(sequence):
-        p = pl.projectors[element]
+    for element, answer in steps:
+        p = projectors[element]
         e = p if answer else eye - p
         sigma = e @ sigma @ e
-    prob = float(np.trace(sigma).real)
-    return min(1.0, max(0.0, prob))
+    return np.clip(np.trace(sigma, axis1=-2, axis2=-1).real, 0.0, 1.0)
+
+
+def _agreement(projectors: np.ndarray, rho: np.ndarray, probe, intermediate=None) -> np.ndarray:
+    middles = [[]] if intermediate is None else [[(intermediate, b)] for b in (True, False)]
+    total = sum(
+        _luders(projectors, rho, [(probe, a), *middle, (probe, a)])
+        for a in (True, False)
+        for middle in middles
+    )
+    return np.minimum(1.0, total)
+
+
+def sequence_probability(pl: ProjectorLattice, rho, sequence) -> float:
+    """Probability of a full answer sequence under chained Luders updates."""
+    rho = validate_density_matrix(rho, dim=pl.dim, tol=pl.tol)
+    steps = _steps_of(sequence)
+    _checked_indices(pl.n, (element for element, _ in steps))
+    return float(_luders(np.asarray(pl.projectors), rho, steps))
 
 
 def isolated_check(
     pl: ProjectorLattice, rho, probe: int, intermediate: int | None = None
 ) -> float:
     """Probability that two probe inquiries agree, marginalizing the middle one."""
-    answers = (True, False)
-    total = 0.0
-    if intermediate is None:
-        for a in answers:
-            total += sequence_probability(pl, rho, [(probe, a), (probe, a)])
-    else:
-        for a in answers:
-            for b in answers:
-                total += sequence_probability(
-                    pl, rho, [(probe, a), (intermediate, b), (probe, a)]
-                )
-    return min(1.0, total)
+    rho = validate_density_matrix(rho, dim=pl.dim, tol=pl.tol)
+    _checked_indices(pl.n, (probe,) if intermediate is None else (probe, intermediate))
+    return float(_agreement(np.asarray(pl.projectors), rho, probe, intermediate))
 
 
 def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
@@ -455,16 +467,16 @@ def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reconstruction from the probability oracle
+# reconstruction from the probability oracle: one element ``a`` against every
+# ``b`` per kernel call, at the maximally mixed preparation (valid by construction)
 
 
-def _conditional(pl: ProjectorLattice, rho, condition, question) -> float:
-    """P(question | condition); conditioning on a null event yields 1."""
-    den = sequence_probability(pl, rho, condition)
-    if den <= pl.tol:
-        return 1.0
-    num = sequence_probability(pl, rho, list(condition) + [question])
-    return num / den
+def _certain(projectors: np.ndarray, rho: np.ndarray, condition, question, tol: float):
+    """Is ``question`` certain given ``condition``?  A null condition makes it so."""
+    den = _luders(projectors, rho, condition)
+    num = _luders(projectors, rho, [*condition, question])
+    ratio = np.divide(num, den, out=np.ones_like(num), where=den > tol)
+    return np.abs(ratio - 1.0) <= tol
 
 
 def infer_order(pl: ProjectorLattice) -> np.ndarray:
@@ -474,29 +486,24 @@ def infer_order(pl: ProjectorLattice) -> np.ndarray:
     the sandwich a, b, a preserves the first answer with certainty, both at
     the maximally mixed preparation.  Must reproduce subspace inclusion.
     """
-    mm = maximally_mixed(pl.dim)
-    n = pl.n
-    out = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            implied = abs(_conditional(pl, mm, [(a, True)], (b, True)) - 1.0) <= pl.tol
-            stable = abs(isolated_check(pl, mm, a, b) - 1.0) <= pl.tol
-            out[a, b] = implied and stable
-    return out
+    projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
+    return np.array([
+        _certain(projectors, mm, [(a, True)], (every, True), pl.tol)
+        & (np.abs(_agreement(projectors, mm, a, every) - 1.0) <= pl.tol)
+        for a in range(pl.n)
+    ])
 
 
 def infer_complement(pl: ProjectorLattice, a: int) -> int:
     """The unique element answering opposite to ``a`` with certainty, both ways."""
-    mm = maximally_mixed(pl.dim)
-    matches = []
-    for b in range(pl.n):
-        flipped = abs(_conditional(pl, mm, [(a, True)], (b, False)) - 1.0) <= pl.tol
-        restored = abs(_conditional(pl, mm, [(a, False)], (b, True)) - 1.0) <= pl.tol
-        if flipped and restored:
-            matches.append(b)
-    if not matches:
+    _checked_indices(pl.n, (a,))
+    projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
+    flipped = _certain(projectors, mm, [(a, True)], (every, False), pl.tol)
+    restored = _certain(projectors, mm, [(a, False)], (every, True), pl.tol)
+    matches = np.flatnonzero(flipped & restored)
+    if not matches.size:
         raise NoComplement(f"no element complements {pl.lattice.names[a]!r}")
-    if len(matches) > 1:
+    if matches.size > 1:
         names = [pl.lattice.names[b] for b in matches]
         raise NotUnique(f"multiple complements for {pl.lattice.names[a]!r}: {names}")
-    return matches[0]
+    return int(matches[0])

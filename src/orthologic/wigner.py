@@ -58,6 +58,8 @@ class Scenario:
         d1, d2 = self.system_dim, self.friend_dim
         joint = d1 * d2
         u = np.asarray(self.coupling, dtype=complex)
+        if not np.isfinite(u).all():
+            raise ValueError("coupling has non-finite entries")
         if u.shape != (joint, joint):
             raise DimensionMismatch(
                 f"coupling must be {joint}x{joint}, got {u.shape}"
@@ -65,6 +67,8 @@ class Scenario:
         if np.linalg.norm(u.conj().T @ u - np.eye(joint)) > self.tol:
             raise ValueError("coupling is not unitary within tolerance")
         ready = np.asarray(self.ready, dtype=complex)
+        if not np.isfinite(ready).all():
+            raise ValueError("ready state has non-finite entries")
         if ready.shape != (d2,):
             raise DimensionMismatch(f"ready state must have dimension {d2}")
         if abs(np.linalg.norm(ready) - 1.0) > self.tol:

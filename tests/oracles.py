@@ -4,13 +4,22 @@ Most of this is plain-Python loops over the order matrix so the fast
 vectorized implementations have something honest to disagree with.
 ``backtrack_dispersion_free`` is a constraint-propagating search that reaches
 the two-valued states without the central-atom closed form the library uses.
+The projector oracles combine every pair in every closure round and ask the
+public probability oracle one (a, b) pair at a time.
 """
 
 from itertools import product
 
 import numpy as np
 
-from orthologic import lattice_from_covers, lattice_from_leq
+from orthologic import (
+    NoComplement,
+    NotUnique,
+    lattice_from_covers,
+    lattice_from_leq,
+    maximally_mixed,
+    sequence_probability,
+)
 from orthologic.analysis import compatibility_relation
 
 
@@ -267,3 +276,108 @@ def exhaustive_decomposition_exists(lat, a, b):
         if lat.join[a_part, common] == a and lat.join[b_part, common] == b:
             return True
     return False
+
+
+def full_rounds_closure(generators, names=None, tol=1e-9):
+    """Projector closure recombining every pair in every round.
+
+    Returns (names, leq, ortho, projectors) in the library's element order:
+    sorted by (rank, discovery order), with the order and the complement
+    found by one Frobenius norm per pair.
+    """
+    dim = generators[0].shape[0]
+    eye = np.eye(dim, dtype=complex)
+    elems, labels = [], []
+
+    def find(p):
+        return next((i for i, q in enumerate(elems) if np.linalg.norm(p - q) <= tol), None)
+
+    def span(a, b):
+        u, s, _ = np.linalg.svd(np.hstack([a, b]), full_matrices=False)
+        basis = u[:, : int(np.sum(s > tol))]
+        return basis @ basis.conj().T
+
+    def add(p, label=None):
+        p = (p + p.conj().T) / 2
+        i = find(p)
+        if i is None:
+            elems.append(p)
+            labels.append(label)
+            return len(elems) - 1
+        if labels[i] is None and label is not None:
+            labels[i] = label
+        return i
+
+    add(np.zeros((dim, dim), dtype=complex), "0")
+    add(eye, "1")
+    for k, g in enumerate(generators):
+        add(np.asarray(g, dtype=complex), None if names is None else names[k])
+    while True:
+        before = len(elems)
+        for i in range(before):
+            j = add(eye - elems[i])
+            if labels[j] is None and labels[i] is not None:
+                labels[j] = "~" + labels[i]
+        for i in range(before):
+            for j in range(i + 1, before):
+                add(span(elems[i], elems[j]))
+                add(eye - span(eye - elems[i], eye - elems[j]))
+        if len(elems) == before:
+            break
+    order = sorted(range(len(elems)), key=lambda i: (round(np.trace(elems[i]).real), i))
+    elems = [elems[i] for i in order]
+    labels = [labels[i] for i in order]
+    n = len(elems)
+    leq = np.array(
+        [[np.linalg.norm(elems[j] @ elems[i] - elems[i]) <= tol for j in range(n)] for i in range(n)]
+    )
+    ortho = np.array([find(eye - p) for p in elems])
+    final, seen = [], set()
+    for i, label in enumerate(labels):
+        name = label if label is not None else f"s{i}"
+        while name in seen:
+            name += "'"
+        seen.add(name)
+        final.append(name)
+    return final, leq, ortho, elems
+
+
+def _certain_by_oracle(pl, condition, question):
+    mm = maximally_mixed(pl.dim)
+    den = sequence_probability(pl, mm, condition)
+    if den <= pl.tol:
+        return True
+    num = sequence_probability(pl, mm, [*condition, question])
+    return abs(num / den - 1.0) <= pl.tol
+
+
+def luders_infer_order(pl):
+    """``a <= b`` from one pair of public probability queries at a time."""
+    mm = maximally_mixed(pl.dim)
+    out = np.zeros((pl.n, pl.n), dtype=bool)
+    for a, b in product(range(pl.n), repeat=2):
+        implied = _certain_by_oracle(pl, [(a, True)], (b, True))
+        agree = sum(
+            sequence_probability(pl, mm, [(a, x), (b, y), (a, x)])
+            for x in (True, False)
+            for y in (True, False)
+        )
+        stable = abs(min(1.0, agree) - 1.0) <= pl.tol
+        out[a, b] = implied and stable
+    return out
+
+
+def luders_infer_complement(pl, a):
+    """The element answering opposite to ``a`` with certainty, one ``b`` at a time."""
+    matches = [
+        b
+        for b in range(pl.n)
+        if _certain_by_oracle(pl, [(a, True)], (b, False))
+        and _certain_by_oracle(pl, [(a, False)], (b, True))
+    ]
+    name = pl.lattice.names[a]
+    if not matches:
+        raise NoComplement(f"no element complements {name!r}")
+    if len(matches) > 1:
+        raise NotUnique(f"multiple complements for {name!r}: {[pl.lattice.names[b] for b in matches]}")
+    return matches[0]

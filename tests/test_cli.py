@@ -184,6 +184,19 @@ def test_quantum_bad_generator_file(tmp_path, capsys):
     assert code == 2
 
 
+NON_FINITE = {"nan": float("nan"), "inf": float("inf")}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_quantum_non_finite_generator_is_refused(tmp_path, capsys, bad):
+    payload = {"generators": [[[1, 0], [0, NON_FINITE[bad]]]]}
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(payload))  # a bare NaN/Infinity token, as json allows
+    code, report = run_json(capsys, "quantum", "--generators", str(path))
+    assert code == 2
+    assert report["error"].startswith("BadProjector: projector has non-finite entries")
+
+
 def test_wigner_cnot(capsys):
     code, report = run_json(capsys, "wigner", "--preset", "cnot")
     assert code == 0
@@ -219,6 +232,30 @@ def test_wigner_scenario_file(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, report = run_json(capsys, "wigner", "--scenario", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "field, error",
+    [("coupling", "ValueError"), ("ready", "ValueError"), ("alt_question", "BadProjector")],
+)
+def test_wigner_non_finite_scenario_is_refused(tmp_path, capsys, field, error, bad):
+    payload = {
+        "system_dim": 2,
+        "friend_dim": 2,
+        "coupling": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        "ready": [1, 0],
+        "question": [[0, 0], [0, 1]],
+        "record": [[0, 0], [0, 1]],
+        "alt_question": [[0.5, 0.5], [0.5, 0.5]],
+    }
+    row = payload[field] if field == "ready" else payload[field][-1]
+    row[-1] = NON_FINITE[bad]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    code, report = run_json(capsys, "wigner", "--scenario", str(path))
+    assert code == 2
+    assert re.match(rf"{error}: .* has non-finite entries", report["error"])
 
 
 def test_detect_and_rerun_bytes(capsys):

@@ -1,4 +1,4 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion without a warning."""
 
 import os
 import subprocess
@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

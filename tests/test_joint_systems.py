@@ -234,6 +234,23 @@ def test_scenario_rejects_wrong_coupling_shape():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field, error",
+    [("coupling", ValueError), ("ready", ValueError), ("alt_question", BadProjector)],
+)
+def test_scenario_rejects_non_finite_entries(field, error, bad):
+    source = cnot_scenario()
+    fields = {
+        "coupling": source.coupling.copy(),
+        "ready": source.ready.copy(),
+        "alt_question": source.alt_question.copy(),
+    }
+    fields[field].flat[-1] = bad
+    with pytest.raises(error, match="non-finite"):
+        Scenario(system_dim=2, friend_dim=2, question=z1(), record=z1(), **fields)
+
+
 def basis_projector_3():
     p = np.zeros((3, 3), dtype=complex)
     p[0, 0] = 1

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -39,7 +40,15 @@ from orthologic import (
     z0,
     z1,
 )
-from orthologic.quantum import matrix_from_json, matrix_to_json
+from orthologic import quantum
+from orthologic.quantum import (
+    matrix_from_json,
+    matrix_to_json,
+    validate_density_matrix,
+    validate_projector,
+)
+
+import oracles
 
 TOL = 1e-9
 
@@ -84,6 +93,15 @@ def test_density_validation(zx):
         born_state(zx, np.array([[1.5, 0], [0, -0.5]]))  # not PSD
     with pytest.raises(DimensionMismatch):
         born_state(zx, maximally_mixed(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_rejects_non_finite_entries(bad):
+    matrix = np.array([[1, 0], [0, bad]], dtype=complex)
+    with pytest.raises(BadProjector, match="non-finite"):
+        validate_projector(matrix)
+    with pytest.raises(BadDensityMatrix, match="non-finite"):
+        validate_density_matrix(matrix)
 
 
 def test_standard_projectors():
@@ -208,6 +226,22 @@ def test_sequence_accepts_inquiry_objects(zx):
     assert value == pytest.approx(0.5, abs=TOL)
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_element_indices_are_checked(zx, bad):
+    rho = maximally_mixed(2)
+    calls = [
+        lambda: sequence_probability(zx, rho, [(bad, True)]),
+        lambda: isolated_check(zx, rho, bad),
+        lambda: isolated_check(zx, rho, 0, bad),
+        lambda: detectability(zx, 0, bad),
+        lambda: detectability(zx, bad, 0),
+        lambda: infer_complement(zx, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"element index {bad} out of range"):
+            call()
+
+
 def test_sequence_rejects_bad_answers(zx):
     with pytest.raises(ValueError):
         sequence_probability(zx, maximally_mixed(2), [(0, "maybe")])
@@ -302,7 +336,9 @@ def test_infer_complement_flags_missing_partner(zx):
         dim=2,
         tol=TOL,
     )
-    with pytest.raises(NoComplement):
+    with pytest.raises(NoComplement) as expected:
+        oracles.luders_infer_complement(broken, 1)
+    with pytest.raises(NoComplement, match=re.escape(str(expected.value))):
         infer_complement(broken, 1)
 
 
@@ -314,5 +350,80 @@ def test_infer_complement_flags_duplicate_partner():
         dim=2,
         tol=TOL,
     )
-    with pytest.raises(NotUnique):
+    with pytest.raises(NotUnique) as expected:
+        oracles.luders_infer_complement(broken, 1)
+    with pytest.raises(NotUnique, match=re.escape(str(expected.value))):
         infer_complement(broken, 1)
+
+
+# ---------------------------------------------------------------------------
+# semi-naive closure and batched reconstruction against the per-pair oracles
+
+
+def _commuting_rays(dim, seed):
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+    return [np.outer(q[:, j], q[:, j].conj()) for j in range(dim - 1)]
+
+
+CLOSURE_INPUTS = {
+    "qubit-zx": ([z0(), z1(), x_plus(), x_minus()], ["Z0", "Z1", "X+", "X-"]),
+    "qubit-z": ([z0()], ["Z0"]),
+    "qutrit-commuting": ([basis_projector(3, 0), basis_projector(3, 1)], ["E1", "E2"]),
+    "d4-two-plane": ([ket_projector([1, 0, 0, 0]), ket_projector([1, 1, 0, 0])], None),
+    **{f"commuting-d{d}-{seed}": (_commuting_rays(d, seed), None) for d in (2, 3, 4, 5) for seed in (0, 1)},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CLOSURE_INPUTS))
+def closure_case(request):
+    generators, names = CLOSURE_INPUTS[request.param]
+    return (
+        projector_lattice(generators, names=names),
+        oracles.full_rounds_closure(generators, names=names),
+    )
+
+
+def test_closure_matches_full_rounds(closure_case):
+    pl, (names, leq, ortho, projectors) = closure_case
+    assert pl.lattice.names == tuple(names)
+    assert np.array_equal(pl.lattice.leq, leq)
+    assert np.array_equal(pl.lattice.ortho, ortho)
+    assert max(np.abs(p - q).max() for p, q in zip(pl.projectors, projectors)) <= 1e-12
+
+
+def test_reconstruction_matches_luders_oracles(closure_case):
+    pl, _ = closure_case
+    assert np.array_equal(infer_order(pl), oracles.luders_infer_order(pl))
+    for a in range(pl.n):
+        assert infer_complement(pl, a) == oracles.luders_infer_complement(pl, a)
+
+
+def test_infer_order_validates_rho_at_most_once_per_row(monkeypatch):
+    pl = projector_lattice(_commuting_rays(5, 3))
+    assert pl.n == 32
+    calls = []
+    real = quantum.validate_density_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "validate_density_matrix", counting)
+    assert np.array_equal(infer_order(pl), pl.lattice.leq)
+    assert len(calls) <= pl.n
+
+
+@pytest.mark.parametrize("generators", [[z0(), z1(), x_plus(), x_minus()], _commuting_rays(5, 3)])
+def test_closure_combines_each_pair_once(monkeypatch, generators):
+    # every pair yields one span and one intersection, each from one _span call
+    calls = []
+    real = quantum._span
+
+    def counting(mats, tol):
+        calls.append(1)
+        return real(mats, tol)
+
+    monkeypatch.setattr(quantum, "_span", counting)
+    pl = projector_lattice(generators)
+    assert len(calls) == pl.n * (pl.n - 1)
