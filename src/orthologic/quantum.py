@@ -176,9 +176,9 @@ def matrix_from_json(data) -> np.ndarray:
     """Nested lists with entries either numbers or [re, im] pairs."""
 
     def entry(x):
-        if isinstance(x, (int, float)):
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
             return complex(x)
-        if isinstance(x, (list, tuple)) and len(x) == 2:
+        if isinstance(x, (list, tuple)) and len(x) == 2 and bool not in map(type, x):
             return complex(float(x[0]), float(x[1]))
         raise ValueError(f"matrix entry must be a number or [re, im], got {x!r}")
 

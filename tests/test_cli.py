@@ -258,6 +258,30 @@ def test_wigner_non_finite_scenario_is_refused(tmp_path, capsys, field, error, b
     assert re.match(rf"{error}: .* has non-finite entries", report["error"])
 
 
+@pytest.mark.parametrize("entry", [True, [True, False]], ids=["number", "pair"])
+@pytest.mark.parametrize("command", ["quantum", "wigner"])
+def test_boolean_matrix_entry_is_refused(tmp_path, capsys, command, entry):
+    # json true is not the number 1, in either entry form
+    matrix = [[entry, 0], [0, 0]]
+    if command == "quantum":
+        payload, flag = {"generators": [matrix]}, "--generators"
+    else:
+        payload, flag = {
+            "system_dim": 2,
+            "friend_dim": 2,
+            "coupling": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+            "ready": [1, 0],
+            "question": matrix,
+            "record": [[0, 0], [0, 1]],
+            "alt_question": [[0.5, 0.5], [0.5, 0.5]],
+        }, "--scenario"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, report = run_json(capsys, command, flag, str(path))
+    assert code == 2
+    assert report["error"].startswith("ValueError: matrix entry must be a number or [re, im]")
+
+
 def test_detect_and_rerun_bytes(capsys):
     args = ("detect", "--rounds", "100000", "--seed", "42", "--fraction", "1.0")
     code1, out1 = run(capsys, *args)

@@ -1,6 +1,9 @@
+import math
+import tracemalloc
+
 import pytest
 
-from orthologic import ProtocolConfig, ProtocolStats, run_detection_protocol
+from orthologic import ProtocolConfig, ProtocolStats, protocol, run_detection_protocol
 
 
 def test_quiet_channel_never_disagrees():
@@ -77,8 +80,48 @@ def test_intercept_strategy_with_zero_fraction_is_quiet():
         dict(rounds=10, seed=2**64),
         dict(rounds=10, seed=1, eavesdrop_fraction=1.5),
         dict(rounds=10, seed=1, strategy="replay"),
+        dict(rounds=True, seed=1),
+        dict(rounds=10, seed=False),
+        dict(rounds=10, seed=1, eavesdrop_fraction=True, strategy="intercept-resend"),
+        dict(rounds=True, seed=False, eavesdrop_fraction=True, strategy="intercept-resend"),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ProtocolConfig(**kwargs)
+
+
+def test_memory_stays_within_a_chunk():
+    config = ProtocolConfig(
+        rounds=1_000_003, seed=3, eavesdrop_fraction=1.0, strategy="intercept-resend"
+    )
+    tracemalloc.start()
+    try:
+        run_detection_protocol(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_counts_do_not_depend_on_the_chunk_size(monkeypatch):
+    rounds = 100_003  # a multiple of none of the chunk sizes
+    config = ProtocolConfig(
+        rounds=rounds, seed=17, eavesdrop_fraction=0.6, strategy="intercept-resend"
+    )
+    results = []
+    for chunk in (1000, 4096, rounds + 1):
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        results.append(run_detection_protocol(config))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+def test_rate_within_binomial_bound(fraction):
+    rounds = 200_003
+    config = ProtocolConfig(
+        rounds=rounds, seed=29, eavesdrop_fraction=fraction, strategy="intercept-resend"
+    )
+    p = fraction / 4
+    spread = 6 * math.sqrt(rounds * p * (1 - p))
+    assert abs(run_detection_protocol(config).disagreements - rounds * p) <= spread
