@@ -19,6 +19,7 @@ from .errors import BadOrtho, NotOrthomodular
 from .lattice import (
     Lattice,
     _checked_indices,
+    _identity_holds,
     _orthomodular_witness,
     generated_sublattice,
     is_distributive_subset,
@@ -50,15 +51,6 @@ def require_orthomodular(lattice: Lattice) -> None:
             f"lattice is not orthomodular at ({lattice.names[a]!r}, {lattice.names[b]!r})",
             witness=pair,
         )
-
-
-def _identity_holds(lattice: Lattice, a=slice(None), b=slice(None)):
-    """(a ^ b) v (~a ^ b) == b for one pair, or for every a and/or b via slices.
-
-    Slices, unlike broadcast index arrays, read ``meet`` in place.
-    """
-    meet, join, ortho = lattice.meet, lattice.join, lattice.ortho
-    return join[meet[a, b], meet[ortho[a], b]] == np.arange(lattice.n)[b]
 
 
 def is_compatible(lattice: Lattice, a: int, b: int) -> bool:

@@ -1,9 +1,14 @@
 """Finite bounded lattices with optional orthocomplementation.
 
 Everything is table-driven and exact: the order is a dense boolean matrix,
-meets and joins are integer index tables, and every structural property is
-decided by exhaustive scan.  Elements are identified by index; names are
-display metadata.  No floating point is used anywhere in this module.
+and meets and joins are integer index tables.  Certification works on the
+rows of the order packed into 64-bit words: a pair has a glb exactly when
+the intersection of its down-sets is itself a down-set, and transitivity is
+one packed boolean product.  ``classify`` decides distributivity of an
+orthomodular lattice from its compatibility relation (Foulis-Holland) and
+scans every triple only on other lattices.  Elements are identified by
+index; names are display metadata.  No floating point is used anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ class Lattice:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of the exhaustive structural scan.
+    """Outcome of the structural scans.
 
     Every ``False`` flag is backed by a witness ``(property, elements)``
     where ``elements`` is the lexicographically first violating index tuple.
@@ -117,6 +122,47 @@ class PropertyReport:
 
 
 # ---------------------------------------------------------------------------
+# packed rows
+
+# Cap on each transient array of a blocked kernel.  Blocks this size stay in
+# cache, and freeing them leaves glibc's mmap threshold near its 128 KiB
+# default (a freed 1 MiB block would raise it to 1 MiB and change how every
+# later large array in the process is allocated).
+_BLOCK_BYTES = 1 << 17
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows packed little-endian into zero-padded ``uint64`` words."""
+    bits = np.packbits(rows, axis=1, bitorder="little")
+    words = np.zeros((bits.shape[0], -(-bits.shape[1] // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : bits.shape[1]] = bits
+    return words
+
+
+def _keys(words: np.ndarray) -> np.ndarray:
+    """Each packed row (last axis, contiguous) as one value that sorts and compares."""
+    return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
+
+
+def _row_blocks(rows: int, cols: int, words: int):
+    """Slices of ``rows`` whose (block, cols, words) uint64 arrays fit the cap."""
+    step = max(1, _BLOCK_BYTES // (8 * max(1, cols * words)))
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` on boolean matrices: per 64-bit word, AND rows of x with columns of y."""
+    rows, cols = _packed(x).T.copy(), _packed(y.T).T.copy()  # one row per word
+    out = np.empty((x.shape[0], y.shape[1]), dtype=bool)
+    for block in _row_blocks(*out.shape, 1):
+        hits = np.zeros((block.stop - block.start, out.shape[1]), dtype=np.uint64)
+        for row_word, col_word in zip(rows[:, block], cols):
+            hits |= row_word[:, None] & col_word[None, :]
+        out[block] = hits != 0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # order scans
 
 
@@ -129,7 +175,7 @@ def _order_witness(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     if sym.any():
         a, b = np.argwhere(sym)[0]
         return ("antisymmetric", (int(a), int(b)))
-    broken = (leq @ leq) & ~leq
+    broken = _bool_product(leq, leq) & ~leq
     if broken.any():
         a, b = np.argwhere(broken)[0]
         return ("transitive", (int(a), int(b)))
@@ -149,24 +195,33 @@ def _meet_join_tables(
 ) -> tuple[np.ndarray | None, np.ndarray | None, tuple[int, int] | None]:
     """Meet/join index tables, or the first pair (a, b >= a) lacking a unique bound.
 
-    A common lower bound g of a and b is their glb exactly when everything
-    below g is a common lower bound too, i.e. when g has as many elements
-    below it as a and b have in common.  The lub is the same count on the
-    transposed order.  Each row a is resolved for all b >= a at once.
+    a and b have a glb exactly when down(a) & down(b) is the down-set of
+    some element g, which is then the glb; distinct elements have distinct
+    down-sets, so g is found by binary search among the sorted packed
+    down-sets.  The lub is the same search among the up-sets.  Rows go in
+    blocks, each against the columns b >= its first row; the tables are
+    symmetric, and a bound missing at (a, b) is missing at (b, a) too, so
+    the first missing pair in row order has b >= a.
     """
     n = leq.shape[0]
-    orders = (leq, np.ascontiguousarray(leq.T))
-    sizes = tuple(order.sum(axis=0) for order in orders)
+    searches = []
+    for sets in (leq.T, leq):  # down-sets give the meet, up-sets the join
+        packed = _packed(sets)
+        order = np.argsort(_keys(packed))
+        searches.append((packed, packed[order], order))
     tables = (np.empty((n, n), dtype=np.int64), np.empty((n, n), dtype=np.int64))
-    for a in range(n):
-        missing = np.zeros(n - a, dtype=bool)
-        for order, size, table in zip(orders, sizes, tables):
-            common = order[:, a, None] & order[:, a:]
-            exact = common & (size[:, None] == common.sum(axis=0))
-            missing |= ~exact.any(axis=0)
-            table[a, a:] = table[a:, a] = exact.argmax(axis=0)
+    for block in _row_blocks(n, n, packed.shape[1]):
+        tail = slice(block.start, n)
+        missing = np.zeros((block.stop - block.start, n - block.start), dtype=bool)
+        for (packed, ranked, order), table in zip(searches, tables):
+            common = packed[block, None, :] & packed[None, tail, :]
+            pos = np.minimum(np.searchsorted(_keys(ranked), _keys(common)), n - 1)
+            missing |= (ranked[pos] != common).any(axis=2)
+            table[block, tail] = order[pos]
+            table[tail, block] = table[block, tail].T
         if missing.any():
-            return None, None, (a, a + int(missing.argmax()))
+            a, b = np.argwhere(missing)[0]
+            return None, None, (block.start + int(a), block.start + int(b))
     return tables[0], tables[1], None
 
 
@@ -216,23 +271,34 @@ def _orthomodular_witness(
 
 
 def _distributive_witness(
-    meet: np.ndarray, join: np.ndarray, members=None
+    meet: np.ndarray, join: np.ndarray, members=None, rows=None
 ) -> tuple[int, int, int] | None:
     """First triple of ``members`` violating a ^ (b v c) == (a ^ b) v (a ^ c).
 
     ``members`` is a sorted index array (default: every element) closed
     under meet and join; the scan holds one a-slice of the law at a time.
+    ``rows`` (default: ``members``) limits the a-slices scanned.
     """
     if members is None:
         members = np.arange(meet.shape[0])
     bc_join = join[np.ix_(members, members)]
-    for a in members:
+    for a in members if rows is None else rows:
         ab = meet[a, members]
         bad = meet[a, bc_join] != join[ab[:, None], ab[None, :]]
         if bad.any():
             b, c = np.argwhere(bad)[0]
             return (int(a), int(members[b]), int(members[c]))
     return None
+
+
+def _identity_holds(lattice: Lattice, a=slice(None), b=slice(None)):
+    """(a ^ b) v (~a ^ b) == b for one pair, or for every a and/or b via slices.
+
+    On an orthomodular lattice this is compatibility of a and b.  Slices,
+    unlike broadcast index arrays, read ``meet`` in place.
+    """
+    meet, join, ortho = lattice.meet, lattice.join, lattice.ortho
+    return join[meet[a, b], meet[ortho[a], b]] == np.arange(lattice.n)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +484,7 @@ def covers(lattice: Lattice) -> list[tuple[int, int]]:
     """Hasse cover pairs (lo, hi) of the lattice order."""
     n = lattice.n
     strict = lattice.leq & ~np.eye(n, dtype=bool)
-    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~(strict @ strict))]
+    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~_bool_product(strict, strict))]
 
 
 def serialize_lattice(lattice: Lattice) -> str:
@@ -447,17 +513,25 @@ def classify(lattice: Lattice) -> PropertyReport:
     Every :class:`Lattice` comes from a checked builder, so it is a bounded
     lattice and its ortho map, when present, is an orthocomplementation;
     those flags are read off.  Orthomodularity (when there is an ortho map)
-    and distributivity are scanned exhaustively.
+    is scanned over all pairs.  On an orthomodular lattice a triple is
+    distributive when one element is compatible with the other two
+    (Foulis-Holland), so a central row has no violation and a non-central
+    row a has one at (a, b, ~b) for any b incompatible with a: the first
+    violating triple lies in the first non-central row, and only that row
+    is scanned.  Other lattices get the scan over all triples.
     """
     witnesses: list[tuple[str, tuple[int, ...]]] = []
-    pair = None
+    pair = rows = None
     if lattice.ortho is None:
         witnesses += [("orthocomplemented", ()), ("orthomodular", ())]
     else:
         pair = _orthomodular_witness(lattice.leq, lattice.meet, lattice.join, lattice.ortho)
         if pair is not None:
             witnesses.append(("orthomodular", pair))
-    triple = _distributive_witness(lattice.meet, lattice.join)
+        else:
+            central = _identity_holds(lattice).all(axis=1)
+            rows = np.flatnonzero(~central)[:1]
+    triple = _distributive_witness(lattice.meet, lattice.join, rows=rows)
     if triple is not None:
         witnesses.append(("distributive", triple))
     return PropertyReport(

@@ -38,7 +38,11 @@ class ProtocolConfig:
             raise ValueError("rounds must be a positive integer")
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if isinstance(fraction, bool) or not 0.0 <= fraction <= 1.0:
+        if (
+            isinstance(fraction, bool)
+            or not isinstance(fraction, (int, float))
+            or not 0.0 <= fraction <= 1.0
+        ):
             raise ValueError("eavesdrop_fraction must lie in [0, 1]")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")

@@ -175,11 +175,14 @@ def random_density_matrix(dim: int, generator: np.random.Generator) -> np.ndarra
 def matrix_from_json(data) -> np.ndarray:
     """Nested lists with entries either numbers or [re, im] pairs."""
 
+    def real(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
     def entry(x):
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
+        if real(x):
             return complex(x)
-        if isinstance(x, (list, tuple)) and len(x) == 2 and bool not in map(type, x):
-            return complex(float(x[0]), float(x[1]))
+        if isinstance(x, (list, tuple)) and len(x) == 2 and all(map(real, x)):
+            return complex(x[0], x[1])
         raise ValueError(f"matrix entry must be a number or [re, im], got {x!r}")
 
     return np.array([[entry(x) for x in row] for row in data], dtype=complex)

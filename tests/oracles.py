@@ -259,6 +259,23 @@ def greechie_pasting(blocks):
     return lattice_from_covers(names, sorted(covers), orthos)
 
 
+def greechie_ring(k):
+    """Blocks of a ring of k 3-atom blocks: block i holds s_i, m_i and s_(i+1 mod k).
+
+    Its pasting has n = 4k + 2 elements and is an orthomodular lattice for
+    k >= 5 (the loop of blocks has order k).
+    """
+    return [(f"s{i}", f"m{i}", f"s{(i + 1) % k}") for i in range(k)]
+
+
+def relabelled(lat, rng):
+    """The same lattice with its elements in a random order, re-certified."""
+    perm = rng.permutation(lat.n)
+    names = [lat.names[i] for i in perm]
+    ortho = None if lat.ortho is None else np.argsort(perm)[lat.ortho[perm]]
+    return lattice_from_leq(names, lat.leq[np.ix_(perm, perm)], ortho)
+
+
 def exhaustive_decomposition_exists(lat, a, b):
     """Scan every index triple for a valid orthogonal decomposition.
 

@@ -258,10 +258,12 @@ def test_wigner_non_finite_scenario_is_refused(tmp_path, capsys, field, error, b
     assert re.match(rf"{error}: .* has non-finite entries", report["error"])
 
 
-@pytest.mark.parametrize("entry", [True, [True, False]], ids=["number", "pair"])
+@pytest.mark.parametrize(
+    "entry", [True, [True, False], ["1", "0"]], ids=["number", "pair", "string-pair"]
+)
 @pytest.mark.parametrize("command", ["quantum", "wigner"])
 def test_boolean_matrix_entry_is_refused(tmp_path, capsys, command, entry):
-    # json true is not the number 1, in either entry form
+    # json true is not the number 1, and "1" is not either, in either entry form
     matrix = [[entry, 0], [0, 0]]
     if command == "quantum":
         payload, flag = {"generators": [matrix]}, "--generators"

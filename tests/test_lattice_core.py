@@ -1,4 +1,6 @@
 import tracemalloc
+from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +245,63 @@ def test_classify_without_ortho_map(covers, distributive, triple):
     if triple is not None:
         expected.append(("distributive", triple))
     assert report.witnesses == tuple(expected)
+
+
+# classify's one-row shortcut on orthomodular lattices, against the full scan
+
+PASTINGS = {
+    "chain2": ("abc", "cde"),
+    "chain4": ("abc", "cde", "efg", "ghi"),
+    "pentagon": ("abc", "cde", "efg", "ghi", "ija"),
+    **{f"ring{k}": oracles.greechie_ring(k) for k in (5, 7, 64)},
+}
+
+
+def assert_shortcut_matches_the_full_scan(lat):
+    triple = lattice_module._distributive_witness(lat.meet, lat.join)
+    report = classify(lat)
+    assert report.is_distributive == (triple is None)
+    assert dict(report.witnesses).get("distributive") == triple
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_classify_shortcut_matches_the_full_scan_on_the_catalog(name):
+    lat = catalog(name)
+    assert_shortcut_matches_the_full_scan(lat)
+    assert_shortcut_matches_the_full_scan(oracles.relabelled(lat, np.random.default_rng(1)))
+
+
+@pytest.mark.parametrize("first", CATALOG_NAMES)
+def test_classify_shortcut_matches_the_full_scan_on_products(first):
+    rng = np.random.default_rng(2)
+    for second in CATALOG_NAMES:
+        product = direct_product(catalog(first), catalog(second))
+        assert_shortcut_matches_the_full_scan(product)
+        assert_shortcut_matches_the_full_scan(oracles.relabelled(product, rng))
+
+
+@pytest.mark.parametrize("name", PASTINGS)
+def test_classify_shortcut_matches_the_full_scan_on_pastings(name):
+    pasting = oracles.greechie_pasting(PASTINGS[name])
+    assert classify(pasting).is_orthomodular
+    assert_shortcut_matches_the_full_scan(pasting)
+    assert_shortcut_matches_the_full_scan(oracles.relabelled(pasting, np.random.default_rng(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.sampled_from([1, 63, 64, 65, 130])] * 3),
+    density=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    block_bytes=st.sampled_from([1, 100, 4096, lattice_module._BLOCK_BYTES]),
+)
+def test_packed_product_is_the_boolean_matmul(shape, density, seed, block_bytes):
+    rows, inner, cols = shape
+    rng = np.random.default_rng(seed)
+    x, y = rng.random((rows, inner)) < density, rng.random((inner, cols)) < density
+    with mock.patch.object(lattice_module, "_BLOCK_BYTES", block_bytes):
+        got = lattice_module._bool_product(x, y)
+    assert got.dtype == bool and np.array_equal(got, x @ y)
 
 
 def test_meet_join_tables_match_naive(oml):
@@ -537,3 +596,36 @@ def test_scans_of_256_elements_stay_quadratic_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # an n^3 scan needs hundreds of MB here
+
+
+def _cube(*names):
+    return reduce(direct_product, map(catalog, names))
+
+
+def test_classify_scans_at_most_one_distributive_row(monkeypatch):
+    full_scan, scanned = lattice_module._distributive_witness, []
+
+    def counted(meet, join, members=None, rows=None):
+        scanned.append(meet.shape[0] if rows is None else len(rows))
+        return full_scan(meet, join, members, rows)
+
+    monkeypatch.setattr(lattice_module, "_distributive_witness", counted)
+    boolean, mixed = _cube("B8", "B8", "B8"), _cube("MO3", "B8", "B8")
+    assert boolean.n == mixed.n == 512
+    assert classify(boolean).all_true
+    assert dict(classify(mixed).witnesses)["distributive"][0] == 64  # (a,0,0)
+    classify(catalog("O6"))  # not orthomodular: every row
+    assert scanned == [0, 1, 6]
+
+
+def test_certifying_512_elements_stays_within_blocks():
+    cube = _cube("B8", "B8", "B8")
+    tracemalloc.start()
+    try:
+        lattice_from_leq(cube.names, cube.leq, cube.ortho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two int64 tables take 4 MiB; ANDing every pair of packed rows
+    # at once would add 16 MiB
+    assert peak < 10 * 2**20

@@ -2,6 +2,7 @@
 
 import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from orthologic import lattice as lattice_module
 from orthologic import (
     NotALattice,
     OrthologicError,
@@ -139,6 +141,41 @@ def test_random_posets_match_naive_bounds(leq, data):
         assert set(block) == oracles.naive_closure(lat, seed)
         triple = oracles.naive_distributive_witness(lat, block)
         assert is_distributive_subset(lat, block) == (triple is None, triple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(leq=bounded_posets(), block_rows=st.integers(1, 4))
+def test_blocked_tables_do_not_depend_on_the_block_size(leq, block_rows):
+    meet, join, pair = lattice_module._meet_join_tables(leq)
+    row_bytes = 8 * leq.shape[0]  # one uint64 word per packed row up to n = 64
+    with mock.patch.object(lattice_module, "_BLOCK_BYTES", block_rows * row_bytes):
+        blocked = lattice_module._meet_join_tables(leq)
+    assert blocked[2] == pair
+    if pair is None:
+        assert np.array_equal(blocked[0], meet) and np.array_equal(blocked[1], join)
+
+
+# ---------------------------------------------------------------------------
+# Greechie rings: a non-product family with answers in closed form
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
+def test_greechie_rings_have_closed_form_answers(k, seed):
+    blocks = oracles.greechie_ring(k)
+    ring = oracles.greechie_pasting(blocks)
+    lat = oracles.relabelled(ring, np.random.default_rng(seed))
+    assert lat.n == 4 * k + 2
+    bounds = tuple(sorted((lat.bottom, lat.top)))
+    assert center(lat).members == bounds
+    relation = compatibility_relation(lat)
+    atoms = dict.fromkeys(x for block in blocks for x in block)
+    for x, y in itertools.product(atoms, repeat=2):
+        shared = any(x in block and y in block for block in blocks)
+        assert relation[lat.index(x), lat.index(y)] == shared, (x, y)
+    witness = dict(classify(lat).witnesses)["distributive"]
+    assert witness[0] == min(set(range(lat.n)) - set(bounds))
+    assert witness == lattice_module._distributive_witness(lat.meet, lat.join)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ def test_intercept_strategy_with_zero_fraction_is_quiet():
         dict(rounds=10, seed=False),
         dict(rounds=10, seed=1, eavesdrop_fraction=True, strategy="intercept-resend"),
         dict(rounds=True, seed=False, eavesdrop_fraction=True, strategy="intercept-resend"),
+        dict(rounds=10, seed=1, eavesdrop_fraction="0.5"),
+        dict(rounds=10, seed=1, eavesdrop_fraction=None, strategy="intercept-resend"),
     ],
 )
 def test_config_validation(kwargs):

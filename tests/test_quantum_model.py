@@ -120,6 +120,13 @@ def test_matrix_json_roundtrip():
         matrix_from_json([["bad", 0], [0, 1]])
 
 
+@pytest.mark.parametrize("entry", [["1", "0"], [1, "0"], ["1", 0], [None, 0], [1, [0]]])
+def test_matrix_entry_pair_parts_must_be_numbers(entry):
+    # float() would read the string "1" as 1.0
+    with pytest.raises(ValueError, match=r"matrix entry must be a number or \[re, im\]"):
+        matrix_from_json([[entry, 0], [0, 0]])
+
+
 # ---------------------------------------------------------------------------
 # closure
 
