@@ -37,7 +37,7 @@ from .errors import (
     NotOrthomodular,
     NotUnique,
 )
-from .lattice import Lattice, _checked_indices, lattice_from_leq
+from .lattice import _BLOCK_BYTES, Lattice, _checked_indices, lattice_from_leq
 from .states import LatticeState
 
 __all__ = [
@@ -197,16 +197,48 @@ def matrix_to_json(matrix) -> list:
 # projector closure
 
 
-def _span(mats: list[np.ndarray], tol: float) -> np.ndarray:
-    u, s, _ = np.linalg.svd(np.hstack(mats), full_matrices=False)
-    basis = u[:, : int(np.sum(s > tol))]
-    return basis @ basis.conj().T  # add() makes it exactly hermitian
+def _spans(blocks: np.ndarray, tol: float) -> np.ndarray:
+    """Projectors onto the column spans of a ``(k, d, m)`` stack, from one batched SVD.
+
+    A slice's basis is its left singular vectors with singular value ``> tol``.
+    Slices of one rank share one matmul, so each projector is bit for bit the
+    ``basis @ basis^H`` of a lone SVD (a zero-masked full-width product is not).
+    """
+    u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+    ranks = np.sum(s > tol, axis=1)
+    spans = np.empty((len(blocks), blocks.shape[1], blocks.shape[1]), dtype=complex)
+    for rank in set(ranks.tolist()):
+        basis = u[ranks == rank, :, :rank]
+        spans[ranks == rank] = basis @ basis.conj().swapaxes(1, 2)
+    return spans
 
 
 def _match(stack: np.ndarray, p: np.ndarray, tol: float) -> int | None:
     """Index of the first projector in ``stack`` within Frobenius distance ``tol`` of ``p``."""
     hits = np.flatnonzero(np.linalg.norm(stack - p, axis=(1, 2)) <= tol)
     return int(hits[0]) if hits.size else None
+
+
+def _matched(stack: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
+    """Which ``candidates`` lie within Frobenius distance ``tol`` of some element of ``stack``.
+
+    The Gram identity ||C - K||^2 = ||C||^2 + ||K||^2 - 2 Re<C, K> rules out
+    every pair farther apart than 1/2 at once; its rounding (~1e-14 for
+    entries of size 1) cannot rule out a match.  The few pairs left are
+    decided by the same Frobenius norm as ``_match``.
+    """
+    c = candidates.reshape(len(candidates), -1)
+    k = stack.reshape(len(stack), -1)
+    squared = (
+        np.sum(np.abs(c) ** 2, axis=1)[:, None]
+        + np.sum(np.abs(k) ** 2, axis=1)
+        - 2 * (c @ k.conj().T).real
+    )
+    near_c, near_k = np.nonzero(squared <= tol**2 + 0.25)
+    hits = np.linalg.norm(stack[near_k] - candidates[near_c], axis=(1, 2)) <= tol
+    matched = np.zeros(len(candidates), dtype=bool)
+    matched[near_c[hits]] = True
+    return matched
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +329,18 @@ def projector_lattice(
         add(m, None if names is None else str(names[k]))
 
     # semi-naive rounds: a pair of older elements was combined in an earlier
-    # round, so each round combines only pairs that include a newer element
+    # round, so each round combines only pairs that include a newer element.
+    # The pairs go in blocks, in the order of the double loop i < j: one SVD
+    # stack gives each pair's join (span of [P Q]) and meet (by De Morgan, the
+    # complement of the span of [I-P I-Q]), then one match against the
+    # elements found before the block drops the candidates they already hold.
+    # Only the rest go through add(), in order, so the discovery order, the
+    # labels and the point where ClosureTooLarge is raised stay those of one
+    # add() per candidate: an older element always wins the first match.
+    # A pair's transients (two (d, 2d) inputs, u, vh, two candidates) take
+    # about 256 d^2 bytes; a block keeps them all under _BLOCK_BYTES.
+    pairs_per_block = max(1, _BLOCK_BYTES // (256 * dim * dim))
+    eye2 = np.hstack([eye, eye])
     fresh = 0
     while fresh < len(labels):
         before = len(labels)
@@ -305,11 +348,16 @@ def projector_lattice(
             j = add(eye - stack[i])
             if labels[j] is None and labels[i] is not None:
                 labels[j] = "~" + labels[i]
-        for i in range(before):
-            for j in range(max(i + 1, fresh), before):
-                add(_span([stack[i], stack[j]], tol))
-                # intersection by De Morgan: complement the span of complements
-                add(eye - _span([eye - stack[i], eye - stack[j]], tol))
+        left, right = np.triu_indices(before, 1)
+        left, right = left[right >= fresh], right[right >= fresh]
+        for lo in range(0, len(left), pairs_per_block):
+            block = slice(lo, lo + pairs_per_block)
+            joins = np.concatenate([stack[left[block]], stack[right[block]]], axis=2)
+            spans = _spans(np.stack([joins, eye2 - joins], axis=1).reshape(-1, dim, 2 * dim), tol)
+            spans[1::2] = eye - spans[1::2]
+            candidates = (spans + spans.conj().swapaxes(1, 2)) / 2
+            for p in candidates[~_matched(stack, candidates, tol)]:
+                add(p)
         fresh = before
 
     order = np.argsort(np.rint(np.trace(stack, axis1=1, axis2=2).real), kind="stable")

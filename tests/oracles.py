@@ -13,6 +13,7 @@ from itertools import product
 import numpy as np
 
 from orthologic import (
+    ClosureTooLarge,
     NoComplement,
     NotUnique,
     lattice_from_covers,
@@ -295,12 +296,13 @@ def exhaustive_decomposition_exists(lat, a, b):
     return False
 
 
-def full_rounds_closure(generators, names=None, tol=1e-9):
+def full_rounds_closure(generators, names=None, tol=1e-9, max_elements=64):
     """Projector closure recombining every pair in every round.
 
     Returns (names, leq, ortho, projectors) in the library's element order:
     sorted by (rank, discovery order), with the order and the complement
-    found by one Frobenius norm per pair.
+    found by one Frobenius norm per pair.  A closure past ``max_elements``
+    raises the library's ``ClosureTooLarge``.
     """
     dim = generators[0].shape[0]
     eye = np.eye(dim, dtype=complex)
@@ -318,6 +320,8 @@ def full_rounds_closure(generators, names=None, tol=1e-9):
         p = (p + p.conj().T) / 2
         i = find(p)
         if i is None:
+            if len(elems) >= max_elements:
+                raise ClosureTooLarge(f"projector closure exceeds {max_elements} elements")
             elems.append(p)
             labels.append(label)
             return len(elems) - 1

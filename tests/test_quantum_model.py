@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -41,6 +42,8 @@ from orthologic import (
     z1,
 )
 from orthologic import quantum
+from orthologic.analysis import compatibility_relation
+from orthologic.cli import QUANTUM_PRESETS
 from orthologic.quantum import (
     matrix_from_json,
     matrix_to_json,
@@ -373,12 +376,28 @@ def _commuting_rays(dim, seed):
     return [np.outer(q[:, j], q[:, j].conj()) for j in range(dim - 1)]
 
 
+def _rotated_zxy_rays(seed):
+    # one random unitary applied to the Z, X and Y rays: three blocks glued at 0 and 1 (MO3)
+    gen = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))
+    return [ket_projector(u @ np.array(ray)) for ray in ([1, 0], [1, 1], [1, 1j])]
+
+
+def _plane(*vectors):
+    q, _ = np.linalg.qr(np.array(vectors, dtype=complex).T)
+    return q @ q.conj().T
+
+
 CLOSURE_INPUTS = {
     "qubit-zx": ([z0(), z1(), x_plus(), x_minus()], ["Z0", "Z1", "X+", "X-"]),
     "qubit-z": ([z0()], ["Z0"]),
+    "qubit-mo3": (_rotated_zxy_rays(0), ["Z", "X", "Y"]),
     "qutrit-commuting": ([basis_projector(3, 0), basis_projector(3, 1)], ["E1", "E2"]),
     "d4-two-plane": ([ket_projector([1, 0, 0, 0]), ket_projector([1, 1, 0, 0])], None),
+    # two rank-2 generators sharing one ray: 24 elements, not distributive
+    "d4-rank2": ([_plane([1, 0, 0, 0], [0, 1, 0, 0]), _plane([0, 1, 0, 0], [1, 0, 1, 0])], None),
     **{f"commuting-d{d}-{seed}": (_commuting_rays(d, seed), None) for d in (2, 3, 4, 5) for seed in (0, 1)},
+    "commuting-d6-0": (_commuting_rays(6, 0), None),
 }
 
 
@@ -391,12 +410,62 @@ def closure_case(request):
     )
 
 
-def test_closure_matches_full_rounds(closure_case):
-    pl, (names, leq, ortho, projectors) = closure_case
+def _assert_same_closure(pl, expected):
+    names, leq, ortho, projectors = expected
     assert pl.lattice.names == tuple(names)
     assert np.array_equal(pl.lattice.leq, leq)
     assert np.array_equal(pl.lattice.ortho, ortho)
     assert max(np.abs(p - q).max() for p, q in zip(pl.projectors, projectors)) <= 1e-12
+
+
+def test_closure_matches_full_rounds(closure_case):
+    _assert_same_closure(*closure_case)
+
+
+# small Gaussian-integer entries give orthogonal, repeated and commuting rays
+# as well as generic ones; a seed gives generic complex rays, whose closure
+# from three rays in d >= 3 is infinite and meets the 64-element cap
+_ENTRIES = st.sampled_from([0, 1, -1, 2, 1j, 1 + 1j])
+
+
+@st.composite
+def _random_rays(draw):
+    dim, count = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        vectors = gen.normal(size=(count, dim)) + 1j * gen.normal(size=(count, dim))
+    else:
+        vector = st.lists(_ENTRIES, min_size=dim, max_size=dim).filter(any)
+        vectors = draw(st.lists(vector, min_size=count, max_size=count))
+    return [ket_projector(v) for v in vectors]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generators=_random_rays())
+def test_closure_of_random_rays_matches_full_rounds(generators):
+    try:
+        expected = oracles.full_rounds_closure(generators)
+    except ClosureTooLarge as exc:
+        with pytest.raises(ClosureTooLarge, match=re.escape(str(exc))):
+            projector_lattice(generators)
+        return
+    _assert_same_closure(projector_lattice(generators), expected)
+
+
+def _assert_compatibility_is_commutation(pl):
+    # in a projector lattice, compatibility is commutation: a check off the closure's own code
+    p = np.asarray(pl.projectors)
+    commutators = np.linalg.norm(p[:, None] @ p[None] - p[None] @ p[:, None], axis=(2, 3))
+    assert np.array_equal(compatibility_relation(pl.lattice), commutators <= pl.tol)
+
+
+def test_compatibility_is_commutation(closure_case):
+    _assert_compatibility_is_commutation(closure_case[0])
+
+
+@pytest.mark.parametrize("preset", sorted(QUANTUM_PRESETS))
+def test_preset_compatibility_is_commutation(preset):
+    _assert_compatibility_is_commutation(QUANTUM_PRESETS[preset]())
 
 
 def test_reconstruction_matches_luders_oracles(closure_case):
@@ -423,14 +492,27 @@ def test_infer_order_validates_rho_at_most_once_per_row(monkeypatch):
 
 @pytest.mark.parametrize("generators", [[z0(), z1(), x_plus(), x_minus()], _commuting_rays(5, 3)])
 def test_closure_combines_each_pair_once(monkeypatch, generators):
-    # every pair yields one span and one intersection, each from one _span call
-    calls = []
-    real = quantum._span
+    # every pair yields one span and one intersection, each one slice of a _spans stack
+    slices = []
+    real = quantum._spans
 
-    def counting(mats, tol):
-        calls.append(1)
-        return real(mats, tol)
+    def counting(blocks, tol):
+        slices.append(len(blocks))
+        return real(blocks, tol)
 
-    monkeypatch.setattr(quantum, "_span", counting)
+    monkeypatch.setattr(quantum, "_spans", counting)
     pl = projector_lattice(generators)
-    assert len(calls) == pl.n * (pl.n - 1)
+    assert sum(slices) == pl.n * (pl.n - 1)
+
+
+def test_closure_blocks_bound_memory():
+    # B128: 8,128 pairs, combined in blocks whose transients stay under 128 KiB
+    generators = _commuting_rays(7, 0)
+    tracemalloc.start()
+    try:
+        pl = projector_lattice(generators, max_elements=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pl.n == 128
+    assert peak < 2 * 2**20  # 0.9 MiB measured, as for one pair at a time; 4.1 MiB with 256-pair blocks
