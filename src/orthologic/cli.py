@@ -24,7 +24,6 @@ from .analysis import (
     compatible_decomposition,
     compatible_via_definition,
     is_compatible,
-    require_orthomodular,
 )
 from .errors import NotOrthomodular, OrthologicError
 from .lattice import (
@@ -39,6 +38,7 @@ from .lattice import (
 )
 from .protocol import STRATEGIES, ProtocolConfig, run_detection_protocol
 from .quantum import (
+    TOL,
     infer_complement,
     infer_order,
     matrix_from_json,
@@ -47,7 +47,7 @@ from .quantum import (
     qubit_zx_lattice,
     qutrit_commuting_lattice,
 )
-from .reporting import build_report, digest, render_json, render_text
+from .reporting import digest, render_json, render_text
 from .states import enumerate_dispersion_free
 from .wigner import (
     _PRESETS as WIGNER_PRESETS,
@@ -76,6 +76,13 @@ def _record(inputs: dict, key: str, source: str, text: str | None = None) -> str
         text = Path(name).read_text(encoding="utf-8") if kind == "file" else source
     inputs[key] = {"source": source, "sha256": digest(text)}
     return text
+
+
+def _load_json(path: str, inputs: dict, key: str):
+    try:
+        return json.loads(_record(inputs, key, f"file:{path}"))
+    except RecursionError:
+        raise ValueError(f"{key} file nests JSON too deeply") from None
 
 
 def _load_lattice(token: str, inputs: dict, key: str = "lattice") -> Lattice:
@@ -118,6 +125,9 @@ def _cmd_check(args, inputs):
             results["lemma_witness"] = [lat.names[i] for i in lemma_witness]
     else:
         results["notice"] = "center and lemma checks need an orthomodular lattice"
+    unknown = [name for name in args.require if name not in flags]
+    if unknown:
+        raise ValueError(f"unknown --require properties {unknown}; known: {', '.join(flags)}")
     passed = all(flags[name] for name in args.require)
     return results, _witnesses(lat, report), passed
 
@@ -141,19 +151,16 @@ def _cmd_states(args, inputs):
 def _cmd_compat(args, inputs):
     lat = _load_lattice(args.lattice, inputs)
     a, b = lat.index(args.a), lat.index(args.b)
-    results = {"pair": [args.a, args.b]}
+    by_def = compatible_via_definition(lat, a, b)
+    results = {"pair": [args.a, args.b], "compatible_by_definition": by_def}
     try:
-        require_orthomodular(lat)
+        by_identity = is_compatible(lat, a, b)
     except NotOrthomodular:
-        results["compatible_by_definition"] = compatible_via_definition(lat, a, b)
         results["notice"] = (
             "lattice is not orthomodular; only the definitional route applies"
         )
         return results, [], True
-    by_def = compatible_via_definition(lat, a, b)
-    by_identity = is_compatible(lat, a, b)
     decomposition = compatible_decomposition(lat, a, b)
-    results["compatible_by_definition"] = by_def
     results["compatible_by_identity"] = by_identity
     results["decomposition_exists"] = decomposition is not None
     if decomposition is not None:
@@ -185,9 +192,14 @@ def _quantum_input(args, inputs):
     if args.preset is not None:
         _record(inputs, "generators", f"preset:{args.preset}")
         return QUANTUM_PRESETS[args.preset]()
-    payload = json.loads(_record(inputs, "generators", f"file:{args.generators}"))
+    payload = _load_json(args.generators, inputs, "generators")
+    if not isinstance(payload, dict) or not isinstance(payload.get("generators"), list):
+        raise ValueError("generators file must be a JSON object with a 'generators' list")
+    names = payload.get("names")
+    if not (names is None or isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError("'names' must be a list of strings, one per generator")
     mats = [matrix_from_json(m) for m in payload["generators"]]
-    return projector_lattice(mats, names=payload.get("names"))
+    return projector_lattice(mats, names=names)
 
 
 def _cmd_quantum(args, inputs):
@@ -218,9 +230,7 @@ def _cmd_wigner(args, inputs):
         _record(inputs, "scenario", f"preset:{args.preset}")
         scenario = scenario_preset(args.preset)
     else:
-        scenario = scenario_from_json(
-            json.loads(_record(inputs, "scenario", f"file:{args.scenario}"))
-        )
+        scenario = scenario_from_json(_load_json(args.scenario, inputs, "scenario"))
     relations = verify_class_relations(scenario)
     detect_only, know_then_detect = tradeoff(scenario, check=False)
     results = {**asdict(relations), "tradeoff": [detect_only, know_then_detect]}
@@ -229,7 +239,7 @@ def _cmd_wigner(args, inputs):
         and relations.m_below_full_question
         and relations.n_incompatible_with_full
         and relations.n_incompatible_with_m
-        and abs(detect_only - 1.0) <= scenario.tol
+        and abs(detect_only - 1.0) <= TOL
     )
     return results, [], passed
 
@@ -350,25 +360,21 @@ def main(argv=None) -> int:
         return 2
     started = time.perf_counter()
     inputs: dict = {}
-    error = None
+    report = {"command": args.command, "arguments": list(argv), "inputs": inputs}
     try:
         results, witnesses, passed = args.fn(args, inputs)
         exit_code = 0 if passed else 1
-    except (OrthologicError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (OrthologicError, OSError, ValueError) as exc:
         results, witnesses, passed = {}, [], False
-        error = f"{type(exc).__name__}: {exc}"
+        report["error"] = f"{type(exc).__name__}: {exc}"
         exit_code = 2
-    report = build_report(
-        command=args.command,
-        arguments=list(argv),
-        inputs=inputs,
+    report.update(
         results=results,
         witnesses=witnesses,
         passed=passed,
         exit_code=exit_code,
         timing_seconds=time.perf_counter() - started,
         version=__version__,
-        error=error,
     )
     text_mode = getattr(args, "text", False)
     print(render_text(report) if text_mode else render_json(report))

@@ -7,16 +7,16 @@ probabilities for time-ordered answer sequences, from which the order and
 the complement can be reconstructed purely from the probability oracle.
 
 Matrices are plain complex ndarrays.  Every numerical decision uses the
-tolerance ``tol`` carried by the lattice (1e-9 by default); dimensions up
-to 8 stay well-conditioned at that scale:
+one tolerance ``TOL = 1e-9``; dimensions up to 8 stay well-conditioned at
+that scale:
 
-- rank: a singular value counts when it is ``> tol``;
+- rank: a singular value counts when it is ``> TOL``;
 - match: a projector equals the first element, in discovery order, whose
-  Frobenius distance to it is ``<= tol``;
-- order: ``P_i <= P_j`` when ``||P_j P_i - P_i|| <= tol``;
+  Frobenius distance to it is ``<= TOL``;
+- order: ``P_i <= P_j`` when ``||P_j P_i - P_i|| <= TOL``;
 - certainty: a conditional probability ``num / den`` is certain when
-  ``|num / den - 1| <= tol``;
-- null condition: a condition with probability ``den <= tol`` makes every
+  ``|num / den - 1| <= TOL``;
+- null condition: a condition with probability ``den <= TOL`` makes every
   question certain.
 """
 
@@ -41,7 +41,7 @@ from .lattice import _BLOCK_BYTES, Lattice, _checked_indices, lattice_from_leq
 from .states import LatticeState
 
 __all__ = [
-    "DEFAULT_TOL",
+    "TOL",
     "InquirySequence",
     "ProjectorLattice",
     "basis_projector",
@@ -69,7 +69,7 @@ __all__ = [
     "z1",
 ]
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 _SNAP_DENOMINATOR = 10**12
 
 
@@ -77,10 +77,10 @@ _SNAP_DENOMINATOR = 10**12
 # matrices
 
 
-def validate_projector(matrix, *, dim: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_projector(matrix, *, dim: int | None = None) -> np.ndarray:
     """Return ``matrix`` as a complex array after checking it projects.
 
-    Hermiticity and idempotence within ``tol`` are verified; together they
+    Hermiticity and idempotence within ``TOL`` are verified; together they
     already pin the eigenvalues to {0, 1} at the same scale.
     """
     p = np.asarray(matrix, dtype=complex)
@@ -90,15 +90,18 @@ def validate_projector(matrix, *, dim: int | None = None, tol: float = DEFAULT_T
         raise BadProjector(f"projector must be square, got shape {p.shape}")
     if dim is not None and p.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.shape[0]}")
-    if np.linalg.norm(p - p.conj().T) > tol:
+    # |P_ij|^2 <= P_ii P_jj <= 1 for a projector; the bound keeps P @ P finite
+    if np.abs(p).max(initial=0.0) > 1 + TOL:
+        raise BadProjector("projector has an entry of modulus above 1")
+    if np.linalg.norm(p - p.conj().T) > TOL:
         raise BadProjector("matrix is not hermitian within tolerance")
-    if np.linalg.norm(p @ p - p) > tol:
+    if np.linalg.norm(p @ p - p) > TOL:
         raise BadProjector("matrix is not idempotent within tolerance")
     return p
 
 
-def validate_density_matrix(matrix, *, dim: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Check hermitian, positive semidefinite, unit trace within ``tol``."""
+def validate_density_matrix(matrix, *, dim: int | None = None) -> np.ndarray:
+    """Check hermitian, positive semidefinite, unit trace within ``TOL``."""
     rho = np.asarray(matrix, dtype=complex)
     if not np.isfinite(rho).all():
         raise BadDensityMatrix("density matrix has non-finite entries")
@@ -106,11 +109,11 @@ def validate_density_matrix(matrix, *, dim: int | None = None, tol: float = DEFA
         raise BadDensityMatrix(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {rho.shape[0]}")
-    if np.linalg.norm(rho - rho.conj().T) > tol:
+    if np.linalg.norm(rho - rho.conj().T) > TOL:
         raise BadDensityMatrix("density matrix is not hermitian within tolerance")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -TOL:
         raise BadDensityMatrix("density matrix is not positive semidefinite")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > TOL:
         raise BadDensityMatrix("density matrix trace differs from 1")
     return rho
 
@@ -173,19 +176,28 @@ def random_density_matrix(dim: int, generator: np.random.Generator) -> np.ndarra
 
 
 def matrix_from_json(data) -> np.ndarray:
-    """Nested lists with entries either numbers or [re, im] pairs."""
+    """A list of rows, each a list of entries: numbers or [re, im] pairs.
+
+    Any other shape, and an entry too large for a float, raise ``ValueError``.
+    """
 
     def real(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    def entry(x):
-        if real(x):
-            return complex(x)
-        if isinstance(x, (list, tuple)) and len(x) == 2 and all(map(real, x)):
-            return complex(x[0], x[1])
+    def entry(x, i, j):
+        try:
+            if real(x):
+                return complex(x)
+            if isinstance(x, (list, tuple)) and len(x) == 2 and all(map(real, x)):
+                return complex(x[0], x[1])
+        except OverflowError:
+            raise ValueError(f"matrix entry [{i}][{j}] is too large for a float") from None
         raise ValueError(f"matrix entry must be a number or [re, im], got {x!r}")
 
-    return np.array([[entry(x) for x in row] for row in data], dtype=complex)
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("matrix must be a list of rows, each a list of entries")
+    rows = [[entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(data)]
+    return np.array(rows, dtype=complex)
 
 
 def matrix_to_json(matrix) -> list:
@@ -197,15 +209,15 @@ def matrix_to_json(matrix) -> list:
 # projector closure
 
 
-def _spans(blocks: np.ndarray, tol: float) -> np.ndarray:
+def _spans(blocks: np.ndarray) -> np.ndarray:
     """Projectors onto the column spans of a ``(k, d, m)`` stack, from one batched SVD.
 
-    A slice's basis is its left singular vectors with singular value ``> tol``.
+    A slice's basis is its left singular vectors with singular value ``> TOL``.
     Slices of one rank share one matmul, so each projector is bit for bit the
     ``basis @ basis^H`` of a lone SVD (a zero-masked full-width product is not).
     """
     u, s, _ = np.linalg.svd(blocks, full_matrices=False)
-    ranks = np.sum(s > tol, axis=1)
+    ranks = np.sum(s > TOL, axis=1)
     spans = np.empty((len(blocks), blocks.shape[1], blocks.shape[1]), dtype=complex)
     for rank in set(ranks.tolist()):
         basis = u[ranks == rank, :, :rank]
@@ -213,14 +225,14 @@ def _spans(blocks: np.ndarray, tol: float) -> np.ndarray:
     return spans
 
 
-def _match(stack: np.ndarray, p: np.ndarray, tol: float) -> int | None:
-    """Index of the first projector in ``stack`` within Frobenius distance ``tol`` of ``p``."""
-    hits = np.flatnonzero(np.linalg.norm(stack - p, axis=(1, 2)) <= tol)
+def _match(stack: np.ndarray, p: np.ndarray) -> int | None:
+    """Index of the first projector in ``stack`` within Frobenius distance ``TOL`` of ``p``."""
+    hits = np.flatnonzero(np.linalg.norm(stack - p, axis=(1, 2)) <= TOL)
     return int(hits[0]) if hits.size else None
 
 
-def _matched(stack: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
-    """Which ``candidates`` lie within Frobenius distance ``tol`` of some element of ``stack``.
+def _matched(stack: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Which ``candidates`` lie within Frobenius distance ``TOL`` of some element of ``stack``.
 
     The Gram identity ||C - K||^2 = ||C||^2 + ||K||^2 - 2 Re<C, K> rules out
     every pair farther apart than 1/2 at once; its rounding (~1e-14 for
@@ -234,8 +246,8 @@ def _matched(stack: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarra
         + np.sum(np.abs(k) ** 2, axis=1)
         - 2 * (c @ k.conj().T).real
     )
-    near_c, near_k = np.nonzero(squared <= tol**2 + 0.25)
-    hits = np.linalg.norm(stack[near_k] - candidates[near_c], axis=(1, 2)) <= tol
+    near_c, near_k = np.nonzero(squared <= TOL**2 + 0.25)
+    hits = np.linalg.norm(stack[near_k] - candidates[near_c], axis=(1, 2)) <= TOL
     matched = np.zeros(len(candidates), dtype=bool)
     matched[near_c[hits]] = True
     return matched
@@ -252,7 +264,6 @@ class ProjectorLattice:
     lattice: Lattice
     projectors: tuple[np.ndarray, ...]
     dim: int
-    tol: float
 
     @property
     def n(self) -> int:
@@ -268,7 +279,6 @@ class ProjectorLattice:
 def projector_lattice(
     generators,
     *,
-    tol: float = DEFAULT_TOL,
     names=None,
     max_elements: int = 64,
 ) -> ProjectorLattice:
@@ -278,8 +288,6 @@ def projector_lattice(
     ----------
     generators : iterable of matrices
         Projectors of one common dimension.
-    tol : float
-        Tolerance for rank decisions, matching, and the subspace order.
     names : optional list of str
         Labels for the generators; derived elements are auto-named, with
         complements of labeled elements named ``~label``.
@@ -293,7 +301,7 @@ def projector_lattice(
         named ``0`` and ``1``.  The embedded lattice is verified to be
         orthomodular before returning.
     """
-    mats = [validate_projector(g, tol=tol) for g in generators]
+    mats = [validate_projector(g) for g in generators]
     if not mats:
         raise BadProjector("need at least one generator")
     dim = mats[0].shape[0]
@@ -310,7 +318,7 @@ def projector_lattice(
     def add(p: np.ndarray, label: str | None = None) -> int:
         nonlocal stack
         p = (p + p.conj().T) / 2
-        i = _match(stack, p, tol)
+        i = _match(stack, p)
         if i is None:
             if len(labels) >= max_elements:
                 raise ClosureTooLarge(
@@ -353,18 +361,18 @@ def projector_lattice(
         for lo in range(0, len(left), pairs_per_block):
             block = slice(lo, lo + pairs_per_block)
             joins = np.concatenate([stack[left[block]], stack[right[block]]], axis=2)
-            spans = _spans(np.stack([joins, eye2 - joins], axis=1).reshape(-1, dim, 2 * dim), tol)
+            spans = _spans(np.stack([joins, eye2 - joins], axis=1).reshape(-1, dim, 2 * dim))
             spans[1::2] = eye - spans[1::2]
             candidates = (spans + spans.conj().swapaxes(1, 2)) / 2
-            for p in candidates[~_matched(stack, candidates, tol)]:
+            for p in candidates[~_matched(stack, candidates)]:
                 add(p)
         fresh = before
 
     order = np.argsort(np.rint(np.trace(stack, axis1=1, axis2=2).real), kind="stable")
     stack = stack[order]
     labels = [labels[i] for i in order]
-    leq = np.array([np.linalg.norm(stack @ p - p, axis=(1, 2)) <= tol for p in stack])
-    ortho = np.array([_match(stack, eye - p, tol) for p in stack], dtype=np.int64)
+    leq = np.array([np.linalg.norm(stack @ p - p, axis=(1, 2)) <= TOL for p in stack])
+    ortho = np.array([_match(stack, eye - p) for p in stack], dtype=np.int64)
 
     final_names: list[str] = []
     seen: set[str] = set()
@@ -382,30 +390,22 @@ def projector_lattice(
         raise NotOrthomodular(
             f"projector closure is not orthomodular ({exc}); tolerance too loose?"
         ) from exc
-    return ProjectorLattice(
-        lattice=lat, projectors=tuple(stack), dim=dim, tol=tol
-    )
+    return ProjectorLattice(lattice=lat, projectors=tuple(stack), dim=dim)
 
 
-def qubit_zx_lattice(tol: float = DEFAULT_TOL) -> ProjectorLattice:
+def qubit_zx_lattice() -> ProjectorLattice:
     """Closure of both qubit bases Z and X: six elements, MO2-shaped."""
-    return projector_lattice(
-        [z0(), z1(), x_plus(), x_minus()],
-        names=["Z0", "Z1", "X+", "X-"],
-        tol=tol,
-    )
+    return projector_lattice([z0(), z1(), x_plus(), x_minus()], names=["Z0", "Z1", "X+", "X-"])
 
 
-def qubit_z_lattice(tol: float = DEFAULT_TOL) -> ProjectorLattice:
+def qubit_z_lattice() -> ProjectorLattice:
     """Closure of one qubit basis vector: the four-element Boolean block."""
-    return projector_lattice([z0()], names=["Z0"], tol=tol)
+    return projector_lattice([z0()], names=["Z0"])
 
 
-def qutrit_commuting_lattice(tol: float = DEFAULT_TOL) -> ProjectorLattice:
+def qutrit_commuting_lattice() -> ProjectorLattice:
     """Two commuting rank-1 generators in dimension 3: an eight-element Boolean cube."""
-    return projector_lattice(
-        [basis_projector(3, 0), basis_projector(3, 1)], names=["E1", "E2"], tol=tol
-    )
+    return projector_lattice([basis_projector(3, 0), basis_projector(3, 1)], names=["E1", "E2"])
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +450,10 @@ def born_state(pl: ProjectorLattice, rho) -> LatticeState:
     """Lattice state mu(element) = trace(rho P_element).
 
     Traces are clamped to [0, 1] and snapped to nearby rationals so the
-    result interoperates with the exact state axioms; checks on snapped
-    values should still allow the lattice tolerance.
+    result interoperates with the exact state axioms; check snapped values
+    with ``is_state(..., tol=TOL)``.
     """
-    rho = validate_density_matrix(rho, dim=pl.dim, tol=pl.tol)
+    rho = validate_density_matrix(rho, dim=pl.dim)
     values = []
     for p in pl.projectors:
         v = float(np.trace(rho @ p).real)
@@ -492,7 +492,7 @@ def _agreement(projectors: np.ndarray, rho: np.ndarray, probe, intermediate=None
 
 def sequence_probability(pl: ProjectorLattice, rho, sequence) -> float:
     """Probability of a full answer sequence under chained Luders updates."""
-    rho = validate_density_matrix(rho, dim=pl.dim, tol=pl.tol)
+    rho = validate_density_matrix(rho, dim=pl.dim)
     steps = _steps_of(sequence)
     _checked_indices(pl.n, (element for element, _ in steps))
     return float(_luders(np.asarray(pl.projectors), rho, steps))
@@ -502,7 +502,7 @@ def isolated_check(
     pl: ProjectorLattice, rho, probe: int, intermediate: int | None = None
 ) -> float:
     """Probability that two probe inquiries agree, marginalizing the middle one."""
-    rho = validate_density_matrix(rho, dim=pl.dim, tol=pl.tol)
+    rho = validate_density_matrix(rho, dim=pl.dim)
     _checked_indices(pl.n, (probe,) if intermediate is None else (probe, intermediate))
     return float(_agreement(np.asarray(pl.projectors), rho, probe, intermediate))
 
@@ -522,12 +522,12 @@ def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
 # ``b`` per kernel call, at the maximally mixed preparation (valid by construction)
 
 
-def _certain(projectors: np.ndarray, rho: np.ndarray, condition, question, tol: float):
+def _certain(projectors: np.ndarray, rho: np.ndarray, condition, question):
     """Is ``question`` certain given ``condition``?  A null condition makes it so."""
     den = _luders(projectors, rho, condition)
     num = _luders(projectors, rho, [*condition, question])
-    ratio = np.divide(num, den, out=np.ones_like(num), where=den > tol)
-    return np.abs(ratio - 1.0) <= tol
+    ratio = np.divide(num, den, out=np.ones_like(num), where=den > TOL)
+    return np.abs(ratio - 1.0) <= TOL
 
 
 def infer_order(pl: ProjectorLattice) -> np.ndarray:
@@ -539,8 +539,8 @@ def infer_order(pl: ProjectorLattice) -> np.ndarray:
     """
     projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
     return np.array([
-        _certain(projectors, mm, [(a, True)], (every, True), pl.tol)
-        & (np.abs(_agreement(projectors, mm, a, every) - 1.0) <= pl.tol)
+        _certain(projectors, mm, [(a, True)], (every, True))
+        & (np.abs(_agreement(projectors, mm, a, every) - 1.0) <= TOL)
         for a in range(pl.n)
     ])
 
@@ -549,8 +549,8 @@ def infer_complement(pl: ProjectorLattice, a: int) -> int:
     """The unique element answering opposite to ``a`` with certainty, both ways."""
     _checked_indices(pl.n, (a,))
     projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
-    flipped = _certain(projectors, mm, [(a, True)], (every, False), pl.tol)
-    restored = _certain(projectors, mm, [(a, False)], (every, True), pl.tol)
+    flipped = _certain(projectors, mm, [(a, True)], (every, False))
+    restored = _certain(projectors, mm, [(a, False)], (every, True))
     matches = np.flatnonzero(flipped & restored)
     if not matches.size:
         raise NoComplement(f"no element complements {pl.lattice.names[a]!r}")

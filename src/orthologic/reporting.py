@@ -67,35 +67,6 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def build_report(
-    *,
-    command: str,
-    arguments: list[str],
-    inputs: dict,
-    results: dict,
-    witnesses: list[dict],
-    passed: bool,
-    exit_code: int,
-    timing_seconds: float,
-    version: str,
-    error: str | None = None,
-) -> dict:
-    report = {
-        "command": command,
-        "arguments": list(arguments),
-        "inputs": inputs,
-        "results": results,
-        "witnesses": witnesses,
-        "passed": passed,
-        "exit_code": exit_code,
-        "timing_seconds": timing_seconds,
-        "version": version,
-    }
-    if error is not None:
-        report["error"] = error
-    return report
-
-
 def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 

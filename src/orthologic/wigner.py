@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionFailed
-from .quantum import DEFAULT_TOL, matrix_from_json, validate_projector, x_plus, z1
+from .quantum import TOL, matrix_from_json, validate_projector, x_plus, z1
 
 __all__ = [
     "ClassRelationReport",
@@ -52,7 +52,6 @@ class Scenario:
     question: np.ndarray
     record: np.ndarray
     alt_question: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         d1, d2 = self.system_dim, self.friend_dim
@@ -64,18 +63,21 @@ class Scenario:
             raise DimensionMismatch(
                 f"coupling must be {joint}x{joint}, got {u.shape}"
             )
-        if np.linalg.norm(u.conj().T @ u - np.eye(joint)) > self.tol:
+        # entries of a unitary, like those of a unit vector, have modulus at
+        # most 1; checking that first keeps the products below finite
+        bounded = np.abs(u).max(initial=0.0) <= 1 + TOL
+        if not bounded or np.linalg.norm(u.conj().T @ u - np.eye(joint)) > TOL:
             raise ValueError("coupling is not unitary within tolerance")
         ready = np.asarray(self.ready, dtype=complex)
         if not np.isfinite(ready).all():
             raise ValueError("ready state has non-finite entries")
         if ready.shape != (d2,):
             raise DimensionMismatch(f"ready state must have dimension {d2}")
-        if abs(np.linalg.norm(ready) - 1.0) > self.tol:
+        if np.abs(ready).max(initial=0.0) > 1 + TOL or abs(np.linalg.norm(ready) - 1.0) > TOL:
             raise ValueError("ready state is not normalized")
-        validate_projector(self.question, dim=d1, tol=self.tol)
-        validate_projector(self.alt_question, dim=d1, tol=self.tol)
-        validate_projector(self.record, dim=d2, tol=self.tol)
+        validate_projector(self.question, dim=d1)
+        validate_projector(self.alt_question, dim=d1)
+        validate_projector(self.record, dim=d2)
         object.__setattr__(self, "coupling", u)
         object.__setattr__(self, "ready", ready)
 
@@ -90,10 +92,10 @@ class Scenario:
 
 def interaction_equivalence(scenario: Scenario, projector) -> np.ndarray:
     """Carry a joint-system question across the interaction: U P U+."""
-    p = validate_projector(projector, dim=scenario.joint_dim, tol=scenario.tol)
+    p = validate_projector(projector, dim=scenario.joint_dim)
     u = scenario.coupling
     moved = u @ p @ u.conj().T
-    return validate_projector(moved, dim=scenario.joint_dim, tol=scenario.tol)
+    return validate_projector(moved, dim=scenario.joint_dim)
 
 
 def _pre_true(scenario: Scenario) -> np.ndarray:
@@ -126,12 +128,12 @@ def _implication_certain(scenario: Scenario, pre, post) -> bool:
     # conditional probability of the post-interaction question given the
     # pre-interaction answer, at the maximally mixed joint preparation
     weight = float(np.trace(pre).real)
-    if weight <= scenario.tol:
+    if weight <= TOL:
         return True
     u = scenario.coupling
     evolved = u @ pre @ u.conj().T
     hit = float(np.trace(post @ evolved).real)
-    return abs(hit / weight - 1.0) <= scenario.tol
+    return abs(hit / weight - 1.0) <= TOL
 
 
 def verify_cross_implication(scenario: Scenario) -> bool:
@@ -159,9 +161,9 @@ class ClassRelationReport:
     """Order and compatibility facts among the classes m, n, and (a, 1).
 
     Commutator entries are Frobenius norms; incompatibility flags compare
-    them against the scenario tolerance.  ``degenerate`` marks the collapse
-    n == m that happens when the alternative question equals the measured
-    one; ``cross_implication`` repeats the measurement check so a report is
+    them against ``TOL``.  ``degenerate`` marks the collapse n == m that
+    happens when the alternative question equals the measured one;
+    ``cross_implication`` repeats the measurement check so a report is
     self-contained.
     """
 
@@ -179,17 +181,16 @@ def verify_class_relations(scenario: Scenario) -> ClassRelationReport:
     m = class_m(scenario)
     n = class_n(scenario)
     full = full_question(scenario)
-    tol = scenario.tol
-    below = np.linalg.norm(full @ m - m) <= tol
+    below = np.linalg.norm(full @ m - m) <= TOL
     comm_full = float(np.linalg.norm(n @ full - full @ n))
     comm_m = float(np.linalg.norm(n @ m - m @ n))
-    degenerate = np.linalg.norm(scenario.alt_question - scenario.question) <= tol
+    degenerate = np.linalg.norm(scenario.alt_question - scenario.question) <= TOL
     return ClassRelationReport(
         m_below_full_question=bool(below),
         n_full_commutator=comm_full,
         n_m_commutator=comm_m,
-        n_incompatible_with_full=comm_full > tol,
-        n_incompatible_with_m=comm_m > tol,
+        n_incompatible_with_full=comm_full > TOL,
+        n_incompatible_with_m=comm_m > TOL,
         degenerate=bool(degenerate),
         cross_implication=verify_cross_implication(scenario),
     )
@@ -287,24 +288,38 @@ def scenario_preset(name: str) -> Scenario:
         ) from None
 
 
+def _dimension(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"dimension must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
+_SCENARIO_FIELDS = {
+    "system_dim": _dimension,
+    "friend_dim": _dimension,
+    "coupling": matrix_from_json,
+    "ready": lambda row: matrix_from_json([row])[0],
+    "question": matrix_from_json,
+    "record": matrix_from_json,
+    "alt_question": matrix_from_json,
+}
+
+
 def scenario_from_json(obj) -> Scenario:
-    """Build a scenario from parsed JSON with [re, im] matrix entries."""
-    try:
-        d1 = int(obj["system_dim"])
-        d2 = int(obj["friend_dim"])
-        coupling = matrix_from_json(obj["coupling"])
-        ready = matrix_from_json([obj["ready"]])[0]
-        question = matrix_from_json(obj["question"])
-        record = matrix_from_json(obj["record"])
-        alt = matrix_from_json(obj["alt_question"])
-    except KeyError as missing:
-        raise ValueError(f"scenario is missing the {missing} field") from None
-    return Scenario(
-        system_dim=d1,
-        friend_dim=d2,
-        coupling=coupling,
-        ready=ready,
-        question=question,
-        record=record,
-        alt_question=alt,
-    )
+    """Build a scenario from a parsed JSON object.
+
+    Dimensions must be JSON integers; the matrices, and the ready state as
+    one row, are read by :func:`matrix_from_json`.  A missing or malformed
+    field raises ``ValueError`` naming it.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"scenario must be a JSON object, got {type(obj).__name__}")
+    fields = {}
+    for key, read in _SCENARIO_FIELDS.items():
+        if key not in obj:
+            raise ValueError(f"scenario is missing the {key!r} field")
+        try:
+            fields[key] = read(obj[key])
+        except ValueError as exc:
+            raise ValueError(f"{exc} (scenario field {key!r})") from None
+    return Scenario(**fields)

@@ -22,6 +22,7 @@ from orthologic import (
     sequence_probability,
 )
 from orthologic.analysis import compatibility_relation
+from orthologic.quantum import TOL
 
 
 def lower_set(lat, a):
@@ -366,10 +367,10 @@ def full_rounds_closure(generators, names=None, tol=1e-9, max_elements=64):
 def _certain_by_oracle(pl, condition, question):
     mm = maximally_mixed(pl.dim)
     den = sequence_probability(pl, mm, condition)
-    if den <= pl.tol:
+    if den <= TOL:
         return True
     num = sequence_probability(pl, mm, [*condition, question])
-    return abs(num / den - 1.0) <= pl.tol
+    return abs(num / den - 1.0) <= TOL
 
 
 def luders_infer_order(pl):
@@ -383,7 +384,7 @@ def luders_infer_order(pl):
             for x in (True, False)
             for y in (True, False)
         )
-        stable = abs(min(1.0, agree) - 1.0) <= pl.tol
+        stable = abs(min(1.0, agree) - 1.0) <= TOL
         out[a, b] = implied and stable
     return out
 

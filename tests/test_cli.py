@@ -1,8 +1,11 @@
+import copy
 import json
 import re
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from orthologic import parse_lattice
 from orthologic.cli import build_parser, main
@@ -32,6 +35,26 @@ def run_json(capsys, *argv):
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["exit_code"] == code
     return code, report
+
+
+def run_json_input(capsys, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    flag = "--generators" if command == "quantum" else "--scenario"
+    return run_json(capsys, command, flag, str(path))
+
+
+GENERATORS = {"generators": [[[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]], "names": ["Z0", "X+"]}
+SCENARIO = {
+    "system_dim": 2,
+    "friend_dim": 2,
+    "coupling": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    "ready": [1, 0],
+    "question": [[0, 0], [0, 1]],
+    "record": [[0, 0], [0, 1]],
+    "alt_question": [[0.5, 0.5], [0.5, 0.5]],
+}
+HUGE = 10**400  # a JSON integer no float can hold
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +93,12 @@ def test_check_file_input(tmp_path, capsys):
 def test_check_custom_requirements(capsys):
     code, _ = run_json(capsys, "check", "O6", "--require", "lattice,bounded,orthocomplemented")
     assert code == 0
+
+
+def test_check_unknown_requirement_is_an_input_error(capsys):
+    code, report = run_json(capsys, "check", "MO2", "--require", "lattice,modular")
+    assert code == 2
+    assert report["error"].startswith("ValueError: unknown --require properties ['modular']")
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +192,7 @@ def test_quantum_preset(capsys):
 
 
 def test_quantum_generators_file(tmp_path, capsys):
-    payload = {
-        "generators": [
-            [[1, 0], [0, 0]],
-            [[0.5, 0.5], [0.5, 0.5]],
-        ],
-        "names": ["Z0", "X+"],
-    }
-    path = tmp_path / "gens.json"
-    path.write_text(json.dumps(payload))
-    code, report = run_json(capsys, "quantum", "--generators", str(path))
+    code, report = run_json_input(capsys, tmp_path, "quantum", json.dumps(GENERATORS))
     assert code == 0
     assert report["results"]["size"] == 6
 
@@ -213,24 +233,7 @@ def test_wigner_identity_fails(capsys):
 
 
 def test_wigner_scenario_file(tmp_path, capsys):
-    cnot = [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
-    payload = {
-        "system_dim": 2,
-        "friend_dim": 2,
-        "coupling": cnot,
-        "ready": [1, 0],
-        "question": [[0, 0], [0, 1]],
-        "record": [[0, 0], [0, 1]],
-        "alt_question": [[0.5, 0.5], [0.5, 0.5]],
-    }
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(payload))
-    code, report = run_json(capsys, "wigner", "--scenario", str(path))
+    code, report = run_json_input(capsys, tmp_path, "wigner", json.dumps(SCENARIO))
     assert code == 0
 
 
@@ -240,20 +243,10 @@ def test_wigner_scenario_file(tmp_path, capsys):
     [("coupling", "ValueError"), ("ready", "ValueError"), ("alt_question", "BadProjector")],
 )
 def test_wigner_non_finite_scenario_is_refused(tmp_path, capsys, field, error, bad):
-    payload = {
-        "system_dim": 2,
-        "friend_dim": 2,
-        "coupling": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        "ready": [1, 0],
-        "question": [[0, 0], [0, 1]],
-        "record": [[0, 0], [0, 1]],
-        "alt_question": [[0.5, 0.5], [0.5, 0.5]],
-    }
+    payload = copy.deepcopy(SCENARIO)
     row = payload[field] if field == "ready" else payload[field][-1]
     row[-1] = NON_FINITE[bad]
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(payload))
-    code, report = run_json(capsys, "wigner", "--scenario", str(path))
+    code, report = run_json_input(capsys, tmp_path, "wigner", json.dumps(payload))
     assert code == 2
     assert re.match(rf"{error}: .* has non-finite entries", report["error"])
 
@@ -265,23 +258,112 @@ def test_wigner_non_finite_scenario_is_refused(tmp_path, capsys, field, error, b
 def test_boolean_matrix_entry_is_refused(tmp_path, capsys, command, entry):
     # json true is not the number 1, and "1" is not either, in either entry form
     matrix = [[entry, 0], [0, 0]]
-    if command == "quantum":
-        payload, flag = {"generators": [matrix]}, "--generators"
-    else:
-        payload, flag = {
-            "system_dim": 2,
-            "friend_dim": 2,
-            "coupling": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-            "ready": [1, 0],
-            "question": matrix,
-            "record": [[0, 0], [0, 1]],
-            "alt_question": [[0.5, 0.5], [0.5, 0.5]],
-        }, "--scenario"
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
-    code, report = run_json(capsys, command, flag, str(path))
+    payload = {"generators": [matrix]} if command == "quantum" else {**SCENARIO, "question": matrix}
+    code, report = run_json_input(capsys, tmp_path, command, json.dumps(payload))
     assert code == 2
     assert report["error"].startswith("ValueError: matrix entry must be a number or [re, im]")
+
+
+MALFORMED_JSON = [
+    ("quantum", {"generators": [[[HUGE, 0], [0, 0]]]}, "[0][0] is too large for a float"),
+    ("quantum", [GENERATORS["generators"]], "'generators' list"),
+    ("quantum", "generators", "'generators' list"),
+    ("quantum", 5, "'generators' list"),
+    ("quantum", {"names": ["Z0"]}, "'generators' list"),
+    ("quantum", {**GENERATORS, "names": "ab"}, "'names'"),
+    ("quantum", {**GENERATORS, "names": {"a": 1}}, "'names'"),
+    ("quantum", {**GENERATORS, "names": 5}, "'names'"),
+    ("quantum", {"generators": [5]}, "list of rows"),
+    ("quantum", {"generators": [[5]]}, "list of rows"),
+    ("wigner", {**SCENARIO, "question": [[HUGE, 0], [0, 1]]}, "'question'"),
+    ("wigner", [SCENARIO], "JSON object"),
+    ("wigner", {**SCENARIO, "coupling": 5}, "'coupling'"),
+    ("wigner", {**SCENARIO, "ready": 5}, "'ready'"),
+] + [
+    ("wigner", {**SCENARIO, "system_dim": dim}, "'system_dim'")
+    for dim in ["2", 2.9, 2.0, True, None, [2]]
+]
+
+
+@pytest.mark.parametrize("command, payload, field", MALFORMED_JSON)
+def test_malformed_json_names_the_field(tmp_path, capsys, command, payload, field):
+    code, report = run_json_input(capsys, tmp_path, command, json.dumps(payload))
+    assert code == 2
+    assert report["error"].startswith("ValueError: ")
+    assert field in report["error"]
+
+
+@pytest.mark.parametrize("command", ["quantum", "wigner"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    code, report = run_json_input(capsys, tmp_path, command, "[" * 100_000 + "]" * 100_000)
+    assert code == 2
+    assert report["error"].startswith("ValueError: ")
+
+
+def test_library_type_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    # only validated input errors exit 2; a bug inside the library surfaces
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not an input error")
+
+    monkeypatch.setattr("orthologic.cli.projector_lattice", broken)
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(GENERATORS))
+    with pytest.raises(TypeError, match="a bug"):
+        main(["quantum", "--generators", str(path)])
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_paths(child, (*path, key))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _json_inputs(draw):
+    # any JSON value, or a valid payload with one of its values replaced by one
+    command = draw(st.sampled_from(["quantum", "wigner"]))
+    if draw(st.booleans()):
+        return command, draw(_JSON_VALUES)
+    valid = GENERATORS if command == "quantum" else SCENARIO
+    path = draw(st.sampled_from(list(_json_paths(valid))))
+    return command, _replaced(valid, path, draw(_JSON_VALUES))
+
+
+@settings(
+    max_examples=45, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_json_inputs())
+@example(case=("quantum", {"generators": [[[HUGE, 0], [0, 0]]]}))
+@example(case=("quantum", {**GENERATORS, "names": "ab"}))
+def test_any_json_input_ends_in_a_report(tmp_path, capsys, case):
+    command, payload = case
+    code, _ = run_json_input(capsys, tmp_path, command, json.dumps(payload))
+    assert code in (0, 1, 2)
+    if code != 2:  # an accepted input has the documented shape; nothing is coerced
+        if command == "quantum":
+            names = payload.get("names")
+            assert isinstance(payload["generators"], list)
+            assert names is None or isinstance(names, list)
+            assert all(isinstance(name, str) for name in names or [])
+        else:
+            assert all(type(payload[key]) is int for key in ("system_dim", "friend_dim"))
 
 
 def test_detect_and_rerun_bytes(capsys):

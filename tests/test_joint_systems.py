@@ -70,7 +70,7 @@ def test_interaction_equivalence_preserves_projector_structure():
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         p = ket_projector(v)
         moved = interaction_equivalence(scenario, p)
-        validate_projector(moved, dim=4, tol=TOL)
+        validate_projector(moved, dim=4)
         assert abs(np.trace(moved).real - np.trace(p).real) < TOL  # rank kept
 
 
@@ -248,6 +248,23 @@ def test_scenario_rejects_non_finite_entries(field, error, bad):
     }
     fields[field].flat[-1] = bad
     with pytest.raises(error, match="non-finite"):
+        Scenario(system_dim=2, friend_dim=2, question=z1(), record=z1(), **fields)
+
+
+@pytest.mark.parametrize(
+    "field, error",
+    [("coupling", ValueError), ("ready", ValueError), ("alt_question", BadProjector)],
+)
+def test_scenario_rejects_entries_above_modulus_one(field, error):
+    # 1e200 is finite, but its square overflows: the check must refuse it before any product
+    source = cnot_scenario()
+    fields = {
+        "coupling": source.coupling.copy(),
+        "ready": source.ready.copy(),
+        "alt_question": source.alt_question.copy(),
+    }
+    fields[field].flat[-1] = 1e200
+    with pytest.raises(error):
         Scenario(system_dim=2, friend_dim=2, question=z1(), record=z1(), **fields)
 
 

@@ -130,6 +130,13 @@ def test_matrix_entry_pair_parts_must_be_numbers(entry):
         matrix_from_json([[entry, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("entry", [1e200, -1e308, [0, 1e300]])
+def test_projector_entries_above_modulus_one_are_refused(entry):
+    # once P @ P overflows to nan, no tolerance comparison would refuse the matrix
+    with pytest.raises(BadProjector, match="modulus above 1"):
+        validate_projector(matrix_from_json([[entry, 0], [0, 0]]))
+
+
 # ---------------------------------------------------------------------------
 # closure
 
@@ -344,7 +351,6 @@ def test_infer_complement_flags_missing_partner(zx):
         lattice=qubit_z_lattice().lattice,
         projectors=(np.zeros((2, 2)), z0(), x_plus(), np.eye(2)),
         dim=2,
-        tol=TOL,
     )
     with pytest.raises(NoComplement) as expected:
         oracles.luders_infer_complement(broken, 1)
@@ -358,7 +364,6 @@ def test_infer_complement_flags_duplicate_partner():
         lattice=qubit_z_lattice().lattice,
         projectors=(np.zeros((2, 2)), z0(), z1(), z1()),
         dim=2,
-        tol=TOL,
     )
     with pytest.raises(NotUnique) as expected:
         oracles.luders_infer_complement(broken, 1)
@@ -456,7 +461,7 @@ def _assert_compatibility_is_commutation(pl):
     # in a projector lattice, compatibility is commutation: a check off the closure's own code
     p = np.asarray(pl.projectors)
     commutators = np.linalg.norm(p[:, None] @ p[None] - p[None] @ p[:, None], axis=(2, 3))
-    assert np.array_equal(compatibility_relation(pl.lattice), commutators <= pl.tol)
+    assert np.array_equal(compatibility_relation(pl.lattice), commutators <= TOL)
 
 
 def test_compatibility_is_commutation(closure_case):
@@ -496,9 +501,9 @@ def test_closure_combines_each_pair_once(monkeypatch, generators):
     slices = []
     real = quantum._spans
 
-    def counting(blocks, tol):
+    def counting(blocks):
         slices.append(len(blocks))
-        return real(blocks, tol)
+        return real(blocks)
 
     monkeypatch.setattr(quantum, "_spans", counting)
     pl = projector_lattice(generators)
