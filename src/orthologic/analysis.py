@@ -147,14 +147,17 @@ def check_incompatible_lemma(
 
     Incompatibility must propagate upward, so a valid orthomodular lattice
     yields ``(True, None)``; a counterexample triple (a, b, c) is returned
-    otherwise.
+    otherwise.  A central a has no counterexample, and a non-central a has
+    one with b the top, which is compatible with everything; so the first
+    counterexample lies in the row of the first non-central element, and
+    only that row is scanned.
     """
     relation = compatibility_relation(lattice)
-    strict = lattice.leq & ~np.eye(lattice.n, dtype=bool)
-    for a in range(lattice.n):
-        above = np.flatnonzero(strict[a])
-        bad = relation[above] & ~relation[a]
-        if bad.any():
-            i, c = np.argwhere(bad)[0]
-            return False, (a, int(above[i]), int(c))
-    return True, None
+    noncentral = np.flatnonzero(~relation.all(axis=1))
+    if not noncentral.size:
+        return True, None
+    a = int(noncentral[0])
+    above = np.flatnonzero(lattice.leq[a])
+    above = above[above != a]
+    i, c = np.argwhere(relation[above] & ~relation[a])[0]
+    return False, (a, int(above[i]), int(c))

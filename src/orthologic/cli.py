@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checked properties hold, 1 a checked property fails,
 2 input or usage error.  Reports are JSON by default (``--text`` for a
-human-readable rendering) and follow ``reporting.REPORT_SCHEMA``.
+human-readable rendering) and follow ``reporting.REPORT_SCHEMA``.  A usage
+error is reported in JSON, with an empty ``command``, because the command
+line that would choose otherwise was not read.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -262,6 +265,18 @@ def _cmd_detect(args, inputs):
     return results, [], passed
 
 
+class UsageError(Exception):
+    """A command line argparse rejects, with argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's usage text still goes to stderr; the report carries the message
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise UsageError(message)
+
+
 def _style_flags() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subcommand-level flag from clobbering a top-level one
     style = argparse.ArgumentParser(add_help=False)
@@ -284,7 +299,7 @@ def _style_flags() -> argparse.ArgumentParser:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     style = _style_flags()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orthologic",
         description="Finite orthomodular-lattice toolkit and contextuality checker",
         parents=[style],
@@ -292,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--catalog", action="store_true", help="list built-in lattices and exit"
     )
-    sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     def add_command(name, help_text):
         return sub.add_parser(name, help=help_text, parents=[style])
@@ -344,28 +359,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str) -> None:
+    """Print ``text``; a reader that has closed stdout gets nothing more."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    started = time.perf_counter()
+    inputs: dict = {}
+    report = {"command": "", "arguments": list(argv), "inputs": inputs}
+    results, witnesses, passed, args = {}, [], False, None
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.catalog:
-        print("\n".join(CATALOG_NAMES))
-        return 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    started = time.perf_counter()
-    inputs: dict = {}
-    report = {"command": args.command, "arguments": list(argv), "inputs": inputs}
-    try:
+        if args.catalog:
+            _emit("\n".join(CATALOG_NAMES))
+            return 0
+        if args.command is None:
+            parser.error("the following arguments are required: command")
+        report["command"] = args.command
         results, witnesses, passed = args.fn(args, inputs)
         exit_code = 0 if passed else 1
-    except (OrthologicError, OSError, ValueError) as exc:
-        results, witnesses, passed = {}, [], False
+    except SystemExit as exc:  # --help has printed its text
+        return int(exc.code or 0)
+    except (UsageError, OrthologicError, OSError, ValueError) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         exit_code = 2
     report.update(
@@ -377,7 +400,7 @@ def main(argv=None) -> int:
         version=__version__,
     )
     text_mode = getattr(args, "text", False)
-    print(render_text(report) if text_mode else render_json(report))
+    _emit(render_text(report) if text_mode else render_json(report))
     return exit_code
 
 

@@ -3,8 +3,12 @@
 Everything is table-driven and exact: the order is a dense boolean matrix,
 and meets and joins are integer index tables.  Certification works on the
 rows of the order packed into 64-bit words: a pair has a glb exactly when
-the intersection of its down-sets is itself a down-set, and transitivity is
-one packed boolean product.  ``classify`` decides distributivity of an
+the intersection of its down-sets is itself a down-set.  When the ortho map
+reverses the order, joins are read off the meets by De Morgan, so only the
+down-sets are searched.  A document's order is the closure of its covers,
+built as one bitset per element; it is a partial order by construction, so
+only an order matrix given directly is checked for transitivity, by one
+packed boolean product.  ``classify`` decides distributivity of an
 orthomodular lattice from its compatibility relation (Foulis-Holland) and
 scans every triple only on other lattices.  Elements are identified by
 index; names are display metadata.  No floating point is used anywhere in
@@ -191,25 +195,31 @@ def _find_bounds(leq: np.ndarray) -> tuple[int | None, int | None]:
 
 
 def _meet_join_tables(
-    leq: np.ndarray,
+    leq: np.ndarray, mirror: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None, tuple[int, int] | None]:
     """Meet/join index tables, or the first pair (a, b >= a) lacking a unique bound.
 
     a and b have a glb exactly when down(a) & down(b) is the down-set of
     some element g, which is then the glb; distinct elements have distinct
     down-sets, so g is found by binary search among the sorted packed
-    down-sets.  The lub is the same search among the up-sets.  Rows go in
-    blocks, each against the columns b >= its first row; the tables are
-    symmetric, and a bound missing at (a, b) is missing at (b, a) too, so
-    the first missing pair in row order has b >= a.
+    down-sets.  Rows go in blocks, each against the columns b >= its first
+    row; the tables are symmetric, and a bound missing at (a, b) is missing
+    at (b, a) too, so the first missing pair in row order has b >= a.
+
+    Without ``mirror`` the lub is the same search among the up-sets.  An
+    order-reversing involution ``mirror`` (an ortho map) carries up-sets
+    to down-sets, so only the down-sets are searched and a v b is
+    mirror[mirror[a] ^ mirror[b]].  A lattice has every glb, so when a glb
+    is missing the order is not one, and its first pair lacking either
+    bound comes from the search over both sides.
     """
     n = leq.shape[0]
     searches = []
-    for sets in (leq.T, leq):  # down-sets give the meet, up-sets the join
-        packed = _packed(sets)
+    for sets in (leq.T,) if mirror is not None else (leq.T, leq):
+        packed = _packed(sets)  # down-sets give the meet, up-sets the join
         order = np.argsort(_keys(packed))
         searches.append((packed, packed[order], order))
-    tables = (np.empty((n, n), dtype=np.int64), np.empty((n, n), dtype=np.int64))
+    tables = [np.empty((n, n), dtype=np.int64) for _ in searches]
     for block in _row_blocks(n, n, packed.shape[1]):
         tail = slice(block.start, n)
         missing = np.zeros((block.stop - block.start, n - block.start), dtype=bool)
@@ -220,21 +230,50 @@ def _meet_join_tables(
             table[block, tail] = order[pos]
             table[tail, block] = table[block, tail].T
         if missing.any():
+            if mirror is not None:  # a pair lacking a lub may come first
+                return _meet_join_tables(leq)
             a, b = np.argwhere(missing)[0]
             return None, None, (block.start + int(a), block.start + int(b))
+    if mirror is not None:
+        tables.append(_mirrored(tables[0], mirror))
     return tables[0], tables[1], None
 
 
+def _mirrored(meet: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """The join table mirror[meet[mirror[a], mirror[b]]], gathered in row blocks."""
+    n = meet.shape[0]
+    join = np.empty_like(meet)
+    for block in _row_blocks(n, n, 1):
+        join[block] = mirror[meet[mirror[block]][:, mirror]]
+    return join
+
+
+def _reversal_witness(leq: np.ndarray, ortho: np.ndarray) -> tuple[int, int] | None:
+    """First pair a <= b with ortho[b] not <= ortho[a], scanned in row blocks."""
+    n = leq.shape[0]
+    for block in _row_blocks(n, n, 1):
+        bad = leq[block] & ~leq.T[ortho[block]][:, ortho]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            return (block.start + int(a), int(b))
+    return None
+
+
 def _ortho_witness(
-    leq: np.ndarray,
     meet: np.ndarray,
     join: np.ndarray,
     ortho: np.ndarray,
     bottom: int,
     top: int,
+    reversal: tuple[int, int] | None,
 ) -> tuple[str, tuple[int, ...]] | None:
-    n = leq.shape[0]
-    ar = np.arange(n)
+    """First failed orthocomplementation law of a permutation ``ortho``.
+
+    ``reversal`` is :func:`_reversal_witness` of ``ortho``; the caller
+    computes it whenever ``ortho`` is an involution, the only case in which
+    the order-reversal law is reached.
+    """
+    ar = np.arange(meet.shape[0])
     bad = ortho[ortho] != ar
     if bad.any():
         return ("involution", (int(np.flatnonzero(bad)[0]),))
@@ -244,12 +283,8 @@ def _ortho_witness(
     bad = join[ar, ortho] != top
     if bad.any():
         return ("complement_join", (int(np.flatnonzero(bad)[0]),))
-    # a <= b must force ortho(b) <= ortho(a)
-    reversed_ok = leq[ortho[:, None], ortho[None, :]].T
-    bad = leq & ~reversed_ok
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        return ("order_reversal", (int(a), int(b)))
+    if reversal is not None:
+        return ("order_reversal", reversal)
     return None
 
 
@@ -280,8 +315,9 @@ def _distributive_witness(
     ``rows`` (default: ``members``) limits the a-slices scanned.
     """
     if members is None:
-        members = np.arange(meet.shape[0])
-    bc_join = join[np.ix_(members, members)]
+        members, bc_join = np.arange(meet.shape[0]), join
+    else:
+        bc_join = join[np.ix_(members, members)]
     for a in members if rows is None else rows:
         ab = meet[a, members]
         bad = meet[a, bc_join] != join[ab[:, None], ab[None, :]]
@@ -344,22 +380,38 @@ def lattice_from_leq(names, leq, ortho=None) -> Lattice:
     bad = _order_witness(leq)
     if bad is not None:
         raise NotALattice(f"order is not {bad[0]} at {bad[1]}", witness=bad[1])
+    return _certified(names, leq, ortho)
+
+
+def _certified(names: tuple[str, ...], leq: np.ndarray, ortho) -> Lattice:
+    """Certify the bounds, meets and joins, and ``ortho``, of a partial order.
+
+    When ``ortho`` is a permutation, an involution and order-reversing, it
+    serves the bound search as its mirror.  A failure of the lattice laws
+    is reported before any failure of ``ortho``.
+    """
+    n = len(names)
     bottom, top = _find_bounds(leq)
     if bottom is None or top is None:
         raise NotALattice("order has no minimum or no maximum element")
-    meet, join, pair = _meet_join_tables(leq)
+    ortho_arr = mirror = reversal = None
+    if ortho is not None:
+        ortho_arr, ar = np.array(ortho, dtype=np.int64), np.arange(n)
+        permutes = ortho_arr.shape == (n,) and np.array_equal(np.sort(ortho_arr), ar)
+        if permutes and np.array_equal(ortho_arr[ortho_arr], ar):
+            reversal = _reversal_witness(leq, ortho_arr)
+            mirror = ortho_arr if reversal is None else None
+    meet, join, pair = _meet_join_tables(leq, mirror)
     if pair is not None:
         raise NotALattice(
             f"pair ({names[pair[0]]!r}, {names[pair[1]]!r}) lacks a unique "
             "greatest lower or least upper bound",
             witness=pair,
         )
-    ortho_arr = None
-    if ortho is not None:
-        ortho_arr = np.array(ortho, dtype=np.int64)
-        if ortho_arr.shape != (n,) or set(ortho_arr.tolist()) != set(range(n)):
+    if ortho_arr is not None:
+        if not permutes:
             raise BadOrtho("ortho map must be a permutation of all elements")
-        bad = _ortho_witness(leq, meet, join, ortho_arr, bottom, top)
+        bad = _ortho_witness(meet, join, ortho_arr, bottom, top, reversal)
         if bad is not None:
             elems = ", ".join(names[i] for i in bad[1])
             raise BadOrtho(f"orthocomplementation fails {bad[0]} at ({elems})", witness=bad[1])
@@ -367,16 +419,49 @@ def lattice_from_leq(names, leq, ortho=None) -> Lattice:
 
 
 def _closure_of_covers(n: int, cover_pairs) -> np.ndarray:
-    leq = np.eye(n, dtype=bool)
+    """Reflexive-transitive closure of the covers (lo, hi) as an n x n boolean matrix.
+
+    Row x is the up-set of x, kept as a Python int bitset: x itself OR the
+    up-sets of the elements covering x.  In reverse topological order
+    (Kahn's algorithm) one pass builds every row.  Elements on or above a
+    cycle have no such order; passes over them repeat until nothing grows.
+    """
+    above = [[] for _ in range(n)]
+    indegree = [0] * n
     for lo, hi in cover_pairs:
-        leq[lo, hi] = True
-    for k in range(n):  # Warshall
-        leq |= leq[:, k][:, None] & leq[k, :][None, :]
-    return leq
+        above[lo].append(hi)
+        indegree[hi] += 1
+    order = [x for x in range(n) if not indegree[x]]
+    for x in order:  # the list is Kahn's queue
+        for y in above[x]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                order.append(y)
+    acyclic = len(order) == n
+    order += [x for x in range(n) if indegree[x]]
+    up = [1 << x for x in range(n)]
+    while True:
+        grown = False
+        for x in reversed(order):
+            row = up[x]
+            for y in above[x]:
+                row |= up[y]
+            grown |= row != up[x]
+            up[x] = row
+        if acyclic or not grown:
+            break
+    width = -(-n // 8)
+    rows = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in up), dtype=np.uint8)
+    return np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
-    """Build a lattice from Hasse cover index pairs (lo, hi)."""
+    """Build a lattice from Hasse cover index pairs (lo, hi).
+
+    The closure of the covers is reflexive and transitive by construction,
+    and the cycle check proves it antisymmetric, so the order axioms are not
+    checked again.
+    """
     names = tuple(names)
     n = len(names)
     _checked_indices(n, (i for pair in (*cover_pairs, *ortho_pairs) for i in pair))
@@ -407,7 +492,9 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
                 f"ortho map is partial: {names[unpaired[0]]!r} has no complement"
             )
         ortho = perm
-    return lattice_from_leq(names, leq, ortho)
+    names = tuple(str(s) for s in names)
+    _check_names(names)
+    return _certified(names, leq, ortho)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +571,8 @@ def covers(lattice: Lattice) -> list[tuple[int, int]]:
     """Hasse cover pairs (lo, hi) of the lattice order."""
     n = lattice.n
     strict = lattice.leq & ~np.eye(n, dtype=bool)
-    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~_bool_product(strict, strict))]
+    lo, hi = np.nonzero(strict & ~_bool_product(strict, strict))
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def serialize_lattice(lattice: Lattice) -> str:

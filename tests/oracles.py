@@ -70,6 +70,16 @@ def naive_ortho_witness(lat):
     return None
 
 
+def warshall_closure(n, cover_pairs):
+    """Reflexive-transitive closure of the covers (lo, hi) by Warshall's n steps."""
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in cover_pairs:
+        leq[lo, hi] = True
+    for k in range(n):
+        leq |= leq[:, k][:, None] & leq[k, :][None, :]
+    return leq
+
+
 def naive_orthomodular_witness(lat):
     """First a < b with b != a v (~a ^ b), or None."""
     for a in range(lat.n):
@@ -119,6 +129,19 @@ def naive_compatibility_matrix(lat):
     return [
         [naive_compatible(lat, a, b) for b in range(lat.n)] for a in range(lat.n)
     ]
+
+
+def looped_incompatible_lemma(lat):
+    """First a < b with c incompatible to a but compatible to b, a row at a time."""
+    relation = compatibility_relation(lat)
+    strict = lat.leq & ~np.eye(lat.n, dtype=bool)
+    for a in range(lat.n):
+        above = np.flatnonzero(strict[a])
+        bad = relation[above] & ~relation[a]
+        if bad.any():
+            i, c = np.argwhere(bad)[0]
+            return False, (a, int(above[i]), int(c))
+    return True, None
 
 
 def naive_decomposition_search(lat, a, b):

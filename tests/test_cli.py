@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -388,7 +392,52 @@ def test_detect_none_strategy(capsys):
 
 
 def test_detect_requires_seed(capsys):
-    assert main(["detect", "--rounds", "10"]) == 2
+    code, report = run_json(capsys, "detect", "--rounds", "10")
+    assert code == 2
+    assert report["error"] == "UsageError: the following arguments are required: --seed"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("detect", "--rounds", "abc", "--seed", "1"), "argument --rounds: invalid int value: 'abc'"),
+        (("bogus",), "argument command: invalid choice: 'bogus' (choose from "),
+        ((), "the following arguments are required: command"),
+        (("--text", "check"), "the following arguments are required: lattice"),
+    ],
+)
+def test_usage_errors_end_in_a_report(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert code == report["exit_code"] == 2 and not report["passed"]
+    assert report["error"].startswith("UsageError: " + message)
+    assert report["arguments"] == list(argv) and report["command"] == ""
+    assert captured.err.startswith("usage: orthologic")
+
+
+def test_help_prints_help_and_no_report(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: orthologic") and '"exit_code"' not in out
+
+
+def test_a_closed_stdout_ends_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "orthologic", "product", "MO2", "MO2xB2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()  # the reader is gone before the report is written
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 0
+    assert err == b""
 
 
 def test_detect_rejects_bad_fraction(capsys):

@@ -534,6 +534,68 @@ def test_classify_and_product_rely_on_the_builders_certificate(monkeypatch):
     assert sorted(calls) == sorted(helpers)
 
 
+def _count_calls(monkeypatch, name):
+    calls, original = [], getattr(lattice_module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(lattice_module, name, counted)
+    return calls
+
+
+def test_only_an_order_matrix_gets_its_order_proved(monkeypatch):
+    calls = _count_calls(monkeypatch, "_order_witness")
+    parse_lattice(MO2_DOC)
+    lattice_from_covers(["0", "m", "1"], [(0, 1), (1, 2)])
+    assert calls == []  # a closure of covers is a partial order by construction
+    lattice_from_leq(["0", "1"], [[True, True], [False, True]], [1, 0])
+    assert calls == ["_order_witness"]
+
+
+def test_an_order_reversing_ortho_map_halves_the_bound_search(monkeypatch):
+    product = serialize_lattice(_cube("MO3", "B8", "B4"))
+    searched = _count_calls(monkeypatch, "_packed")  # one packing per searched side
+    parse_lattice(product)
+    assert len(searched) == 1
+    parse_lattice(product.replace("ortho ", "# ortho "))
+    assert len(searched) == 3
+    # 0 <-> p, 1 <-> q is an involution that keeps 0 <= p: both sides searched
+    with pytest.raises(BadOrtho, match="complement_meet"):
+        parse_lattice(B4_DOC.replace("ortho p q\northo 0 1", "ortho 0 p\northo 1 q"))
+    assert len(searched) == 5
+
+
+def test_parsing_256_elements_stays_within_the_tables():
+    doc = serialize_lattice(_cube("MO3", "B8", "B4"))
+    parse_lattice(doc)
+    tracemalloc.start()
+    try:
+        parse_lattice(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two int64 tables take 1 MiB, so at most 0.6 MiB goes to the search,
+    # the closure and every other transient
+    assert peak < 1.6 * 2**20
+
+
+@pytest.mark.parametrize("name", ["catalog", "products", "pastings"])
+def test_lemma_reads_one_row_like_the_looped_scan(name):
+    rng = np.random.default_rng(4)
+    if name == "catalog":
+        lattices = [catalog(n) for n in CATALOG_NAMES if n != "O6"]
+    elif name == "products":
+        oml = [n for n in CATALOG_NAMES if n != "O6"]
+        lattices = [direct_product(catalog(a), catalog(b)) for a in oml for b in oml]
+    else:
+        lattices = [oracles.greechie_pasting(blocks) for blocks in PASTINGS.values()]
+    for lat in lattices:
+        for version in (lat, oracles.relabelled(lat, rng)):
+            assert check_incompatible_lemma(version) == oracles.looped_incompatible_lemma(version)
+
+
 def test_order_isomorphism_negative_cases():
     assert not is_order_isomorphic(catalog("MO2"), catalog("O6"))
     assert not is_order_isomorphic(catalog("B8"), catalog("MO3"))  # same size

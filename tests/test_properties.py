@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from orthologic import lattice as lattice_module
 from orthologic import (
+    BadOrtho,
+    CycleError,
     NotALattice,
     OrthologicError,
     catalog,
@@ -25,6 +27,7 @@ from orthologic import (
     generated_sublattice,
     is_compatible,
     is_distributive_subset,
+    lattice_from_covers,
     lattice_from_leq,
     parse_lattice,
     serialize_lattice,
@@ -115,9 +118,8 @@ def bounded_posets(draw):
     return leq[np.ix_(perm, perm)]
 
 
-@settings(max_examples=120, deadline=None)
-@given(leq=bounded_posets(), data=st.data())
-def test_random_posets_match_naive_bounds(leq, data):
+def _unbounded_pairs(leq):
+    """Naive meet and join tables and every pair (a, b >= a) lacking a bound."""
     n = leq.shape[0]
     poset = SimpleNamespace(leq=leq, n=n)
     meets = [[oracles.naive_meet(poset, a, b) for b in range(n)] for a in range(n)]
@@ -128,6 +130,14 @@ def test_random_posets_match_naive_bounds(leq, data):
         for b in range(a, n)
         if meets[a][b] is None or joins[a][b] is None
     ]
+    return meets, joins, unbounded
+
+
+@settings(max_examples=120, deadline=None)
+@given(leq=bounded_posets(), data=st.data())
+def test_random_posets_match_naive_bounds(leq, data):
+    n = leq.shape[0]
+    meets, joins, unbounded = _unbounded_pairs(leq)
     try:
         lat = lattice_from_leq([f"e{i}" for i in range(n)], leq)
     except NotALattice as err:
@@ -143,16 +153,99 @@ def test_random_posets_match_naive_bounds(leq, data):
         assert is_distributive_subset(lat, block) == (triple is None, triple)
 
 
+@st.composite
+def self_dual_posets(draw):
+    """A random bounded poset and an order-reversing involution of it, indices shuffled.
+
+    Element pairs (x, x') sit at ranks r and R + 1 - r, and a few fixed
+    points at the middle rank.  Every drawn cover (x, y) between ranks
+    comes with its mirror image (y', x'), so the closure is self-dual.
+    """
+    pairs, fixed, top_rank = draw(st.integers(0, 6)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    ranks = [draw(st.integers(1, top_rank)) for _ in range(pairs)]
+    ranks += [top_rank + 1 - r for r in ranks] + [(top_rank + 1) / 2] * fixed
+    n = len(ranks) + 2  # bottom and top come last
+    mirror = [*range(pairs, 2 * pairs), *range(pairs), *range(2 * pairs, n - 2), n - 1, n - 2]
+    ranks += [0, top_rank + 1]
+    candidates = [(x, y) for x in range(n) for y in range(n) if ranks[x] < ranks[y]]
+    drawn = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    covers = [pair for pair, keep in zip(candidates, drawn) if keep]
+    covers += [(mirror[y], mirror[x]) for x, y in covers]
+    covers += [(n - 2, x) for x in range(n - 2)] + [(x, n - 1) for x in range(n - 1)]
+    leq = oracles.warshall_closure(n, covers)
+    perm = np.array(draw(st.permutations(range(n))))
+    return leq[np.ix_(perm, perm)], np.argsort(perm)[np.array(mirror)[perm]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poset=self_dual_posets())
+def test_self_dual_posets_match_naive_bounds(poset):
+    leq, mirror = poset
+    assert lattice_module._reversal_witness(leq, mirror) is None
+    meets, joins, unbounded = _unbounded_pairs(leq)
+    first = unbounded[0] if unbounded else None
+    meet, join, pair = lattice_module._meet_join_tables(leq, mirror)
+    assert pair == first
+    if first is None:
+        assert meet.tolist() == meets and join.tolist() == joins
+    # the builder takes the ortho map as its mirror; an order-reversing
+    # involution with fixed points is no orthocomplementation
+    try:
+        lat = lattice_from_leq([f"e{i}" for i in range(leq.shape[0])], leq, mirror)
+    except NotALattice as err:
+        assert err.witness == first
+    except BadOrtho:
+        assert first is None
+    else:
+        assert first is None and lat.join.tolist() == joins
+
+
 @settings(max_examples=80, deadline=None)
-@given(leq=bounded_posets(), block_rows=st.integers(1, 4))
-def test_blocked_tables_do_not_depend_on_the_block_size(leq, block_rows):
-    meet, join, pair = lattice_module._meet_join_tables(leq)
+@given(
+    poset=st.one_of(bounded_posets().map(lambda leq: (leq, None)), self_dual_posets()),
+    block_rows=st.integers(1, 4),
+)
+def test_blocked_tables_do_not_depend_on_the_block_size(poset, block_rows):
+    leq, mirror = poset
+    meet, join, pair = lattice_module._meet_join_tables(leq, mirror)
     row_bytes = 8 * leq.shape[0]  # one uint64 word per packed row up to n = 64
     with mock.patch.object(lattice_module, "_BLOCK_BYTES", block_rows * row_bytes):
-        blocked = lattice_module._meet_join_tables(leq)
+        blocked = lattice_module._meet_join_tables(leq, mirror)
     assert blocked[2] == pair
     if pair is None:
         assert np.array_equal(blocked[0], meet) and np.array_equal(blocked[1], join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    shape=st.sampled_from(["acyclic", "random", "ring"]),
+    data=st.data(),
+)
+def test_closure_of_covers_matches_warshall(n, shape, data):
+    index = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    rank = data.draw(st.permutations(range(n)))
+    if shape == "acyclic":  # orient each pair upward along a random ranking
+        pairs = [(x, y) if rank[x] < rank[y] else (y, x) for x, y in pairs if x != y]
+    elif shape == "ring":  # one directed cycle in a random order, and some pairs
+        ring = rank[: data.draw(st.integers(2, max(2, n)))]
+        pairs = [(x, y) for x, y in pairs if x != y]
+        pairs += list(zip(ring, ring[1:] + ring[:1])) if n > 1 else []
+    got = lattice_module._closure_of_covers(n, pairs)
+    want = oracles.warshall_closure(n, pairs)
+    assert got.dtype == bool and got.shape == (n, n) and np.array_equal(got, want)
+    if any(x == y for x, y in pairs):
+        return
+    cycles = np.argwhere(want & want.T & ~np.eye(n, dtype=bool)).tolist()
+    witness = None
+    try:
+        lattice_from_covers([f"e{i}" for i in range(n)], pairs)
+    except CycleError as err:
+        witness = err.witness
+    except NotALattice:
+        pass
+    assert witness == (tuple(cycles[0]) if cycles else None)
 
 
 # ---------------------------------------------------------------------------
