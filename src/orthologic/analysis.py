@@ -3,10 +3,12 @@
 Two elements are compatible when the sublattice generated by them and their
 complements is distributive.  On an orthomodular lattice this is equivalent
 to the identity (a ^ b) v (~a ^ b) == b, and to the existence of a mutually
-orthogonal decomposition a = a' v c, b = b' v c.  The definitional route is
-independent of the identity; the decomposition route builds its witness
-(a ^ ~b, b ^ ~a, a ^ b) from the identity, and the tests check it against an
-exhaustive search over all triples.
+orthogonal decomposition a = a' v c, b = b' v c.  An ortholattice is
+orthomodular exactly when comparable elements pass the identity, so a query
+builds the relation once and reads the law off it.  The definitional route
+is independent of the identity; the decomposition route builds its witness
+(a ^ ~b, b ^ ~a, a ^ b) from the identity, and the tests check it against
+an exhaustive search over all triples.
 """
 
 from __future__ import annotations
@@ -41,29 +43,30 @@ __all__ = [
 
 
 def require_orthomodular(lattice: Lattice) -> None:
-    """Raise :class:`NotOrthomodular` unless the lattice satisfies the law."""
+    """Raise :class:`NotOrthomodular` unless the lattice satisfies the law and its dual."""
+    compatibility_relation(lattice)
+
+
+def is_compatible(lattice: Lattice, a: int, b: int) -> bool:
+    """Compatibility via (a ^ b) v (~a ^ b) == b; valid on orthomodular lattices."""
+    relation = compatibility_relation(lattice)
+    _checked_indices(lattice.n, (a, b))
+    return bool(relation[a, b])
+
+
+def compatibility_relation(lattice: Lattice) -> np.ndarray:
+    """Pairwise compatibility matrix; :class:`NotOrthomodular` if it shows the law broken."""
     if lattice.ortho is None:
         raise NotOrthomodular("lattice has no orthocomplementation")
-    pair = _orthomodular_witness(lattice.leq, lattice.meet, lattice.join, lattice.ortho)
+    relation = _identity_holds(lattice)
+    pair = _orthomodular_witness(lattice, relation)
     if pair is not None:
         a, b = pair
         raise NotOrthomodular(
             f"lattice is not orthomodular at ({lattice.names[a]!r}, {lattice.names[b]!r})",
             witness=pair,
         )
-
-
-def is_compatible(lattice: Lattice, a: int, b: int) -> bool:
-    """Compatibility via (a ^ b) v (~a ^ b) == b; valid on orthomodular lattices."""
-    require_orthomodular(lattice)
-    _checked_indices(lattice.n, (a, b))
-    return bool(_identity_holds(lattice, a, b))
-
-
-def compatibility_relation(lattice: Lattice) -> np.ndarray:
-    """Boolean matrix of pairwise compatibility (symmetric on OMLs)."""
-    require_orthomodular(lattice)
-    return _identity_holds(lattice)
+    return relation
 
 
 def compatible_via_definition(lattice: Lattice, a: int, b: int) -> bool:
@@ -96,9 +99,9 @@ def compatible_decomposition(lattice: Lattice, a: int, b: int) -> Decomposition 
     For compatible pairs returns (a ^ ~b, b ^ ~a, a ^ b): the Foulis-Holland
     decomposition, valid on every orthomodular lattice.
     """
-    require_orthomodular(lattice)
+    relation = compatibility_relation(lattice)
     _checked_indices(lattice.n, (a, b))
-    if not _identity_holds(lattice, a, b):
+    if not relation[a, b]:
         return None
     meet, ortho = lattice.meet, lattice.ortho
     return Decomposition(

@@ -26,7 +26,6 @@ from .analysis import (
     check_incompatible_lemma,
     compatible_decomposition,
     compatible_via_definition,
-    is_compatible,
 )
 from .errors import NotOrthomodular, OrthologicError
 from .lattice import (
@@ -157,22 +156,23 @@ def _cmd_compat(args, inputs):
     by_def = compatible_via_definition(lat, a, b)
     results = {"pair": [args.a, args.b], "compatible_by_definition": by_def}
     try:
-        by_identity = is_compatible(lat, a, b)
+        decomposition = compatible_decomposition(lat, a, b)
     except NotOrthomodular:
         results["notice"] = (
             "lattice is not orthomodular; only the definitional route applies"
         )
         return results, [], True
-    decomposition = compatible_decomposition(lat, a, b)
+    # the decomposition exists exactly when the identity holds
+    by_identity = decomposition is not None
     results["compatible_by_identity"] = by_identity
-    results["decomposition_exists"] = decomposition is not None
-    if decomposition is not None:
+    results["decomposition_exists"] = by_identity
+    if by_identity:
         results["decomposition"] = {
             "a_part": lat.names[decomposition.a_part],
             "b_part": lat.names[decomposition.b_part],
             "common": lat.names[decomposition.common],
         }
-    agree = by_def == by_identity == (decomposition is not None)
+    agree = by_def == by_identity
     results["routes_agree"] = agree
     return results, [], agree
 

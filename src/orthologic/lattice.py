@@ -8,15 +8,15 @@ reverses the order, joins are read off the meets by De Morgan, so only the
 down-sets are searched.  A document's order is the closure of its covers,
 built as one bitset per element; it is a partial order by construction, so
 only an order matrix given directly is checked for transitivity, by one
-packed boolean product.  ``classify`` decides distributivity of an
-orthomodular lattice from its compatibility relation (Foulis-Holland) and
-scans every triple only on other lattices.  Elements are identified by
-index; names are display metadata.  No floating point is used anywhere in
-this module.
+packed boolean product.  ``classify`` reads orthomodularity and then
+distributivity (Foulis-Holland) off the compatibility relation, and scans
+every triple only on other lattices.  Elements are identified by index;
+names are display metadata.  No floating point is used in this module.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,17 +288,13 @@ def _ortho_witness(
     return None
 
 
-def _orthomodular_witness(
-    leq: np.ndarray, meet: np.ndarray, join: np.ndarray, ortho: np.ndarray
-) -> tuple[int, int] | None:
-    """First pair a <= b with b != a v (~a ^ b), scanning the law and its dual."""
-    n = leq.shape[0]
-    ar = np.arange(n)
-    lifted = join[ar[:, None], meet[ortho[:, None], ar[None, :]]]
-    bad = leq & (lifted != ar[None, :])
-    # dual: for a <= b require a == b ^ (~b v a); violations map back to (a, b)
-    lowered = meet[ar[:, None], join[ortho[:, None], ar[None, :]]]
-    bad |= (leq.T & (lowered != ar[None, :])).T
+def _orthomodular_witness(lattice: Lattice, relation: np.ndarray) -> tuple[int, int] | None:
+    """First a <= b with b != a v (~a ^ b), or dual a != b ^ (~b v a), in ``relation``.
+
+    For a <= b :func:`_identity_holds` at (a, b) is the law; at (~b, ~a), the dual.
+    """
+    o = lattice.ortho
+    bad = lattice.leq & ~(relation & relation[np.ix_(o, o)].T)
     if bad.any():
         a, b = np.argwhere(bad)[0]
         return (int(a), int(b))
@@ -327,14 +323,15 @@ def _distributive_witness(
     return None
 
 
-def _identity_holds(lattice: Lattice, a=slice(None), b=slice(None)):
-    """(a ^ b) v (~a ^ b) == b for one pair, or for every a and/or b via slices.
+def _identity_holds(lattice: Lattice, b=slice(None)):
+    """(a ^ b) v (~a ^ b) == b for every a, and every b or the one given.
 
-    On an orthomodular lattice this is compatibility of a and b.  Slices,
-    unlike broadcast index arrays, read ``meet`` in place.
+    On an orthomodular lattice this is compatibility of a and b, and over all
+    pairs it also decides orthomodularity (:func:`_orthomodular_witness`).
+    A slice, unlike a broadcast index array, reads ``meet`` in place.
     """
     meet, join, ortho = lattice.meet, lattice.join, lattice.ortho
-    return join[meet[a, b], meet[ortho[a], b]] == np.arange(lattice.n)[b]
+    return join[meet[:, b], meet[ortho, b]] == np.arange(lattice.n)[b]
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +353,17 @@ def _check_names(names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
+def _element_index(item) -> int:
+    """``item`` as an int, if :func:`operator.index` takes it; never truncated."""
+    try:
+        return operator.index(item)
+    except TypeError:
+        raise ValueError(f"element index {item!r} is not an integer") from None
+
+
 def _checked_indices(n: int, items) -> set[int]:
     """``items`` as a set of ints, each a valid index into ``n`` elements."""
-    members = {int(i) for i in items}
+    members = {_element_index(i) for i in items}
     for i in members:
         if not 0 <= i < n:
             raise ValueError(f"element index {i} out of range")
@@ -600,25 +605,25 @@ def classify(lattice: Lattice) -> PropertyReport:
 
     Every :class:`Lattice` comes from a checked builder, so it is a bounded
     lattice and its ortho map, when present, is an orthocomplementation;
-    those flags are read off.  Orthomodularity (when there is an ortho map)
-    is scanned over all pairs.  On an orthomodular lattice a triple is
-    distributive when one element is compatible with the other two
-    (Foulis-Holland), so a central row has no violation and a non-central
-    row a has one at (a, b, ~b) for any b incompatible with a: the first
-    violating triple lies in the first non-central row, and only that row
-    is scanned.  Other lattices get the scan over all triples.
+    those flags are read off.  Orthomodularity is read off the compatibility
+    relation.  On an orthomodular lattice a triple is distributive when one
+    element is compatible with the other two (Foulis-Holland), so a central
+    row has no violation and a non-central row a has one at (a, b, ~b) for
+    any b incompatible with a: the first violating triple lies in the first
+    non-central row, and only that row is scanned.  Other lattices get the
+    scan over all triples.
     """
     witnesses: list[tuple[str, tuple[int, ...]]] = []
     pair = rows = None
     if lattice.ortho is None:
         witnesses += [("orthocomplemented", ()), ("orthomodular", ())]
     else:
-        pair = _orthomodular_witness(lattice.leq, lattice.meet, lattice.join, lattice.ortho)
+        relation = _identity_holds(lattice)
+        pair = _orthomodular_witness(lattice, relation)
         if pair is not None:
             witnesses.append(("orthomodular", pair))
         else:
-            central = _identity_holds(lattice).all(axis=1)
-            rows = np.flatnonzero(~central)[:1]
+            rows = np.flatnonzero(~relation.all(axis=1))[:1]
     triple = _distributive_witness(lattice.meet, lattice.join, rows=rows)
     if triple is not None:
         witnesses.append(("distributive", triple))

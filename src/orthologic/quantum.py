@@ -37,7 +37,7 @@ from .errors import (
     NotOrthomodular,
     NotUnique,
 )
-from .lattice import _BLOCK_BYTES, Lattice, _checked_indices, lattice_from_leq
+from .lattice import _BLOCK_BYTES, Lattice, _checked_indices, _element_index, lattice_from_leq
 from .states import LatticeState
 
 __all__ = [
@@ -430,7 +430,7 @@ class InquirySequence:
 
     @classmethod
     def of(cls, *steps) -> "InquirySequence":
-        return cls(tuple((int(e), _as_answer(a)) for e, a in steps))
+        return cls(tuple((_element_index(e), _as_answer(a)) for e, a in steps))
 
     @classmethod
     def from_names(cls, pl: ProjectorLattice, pairs) -> "InquirySequence":

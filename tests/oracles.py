@@ -25,10 +25,6 @@ from orthologic.analysis import compatibility_relation
 from orthologic.quantum import TOL
 
 
-def lower_set(lat, a):
-    return [x for x in range(lat.n) if lat.leq[x, a]]
-
-
 def naive_meet(lat, a, b):
     common = [x for x in range(lat.n) if lat.leq[x, a] and lat.leq[x, b]]
     for g in common:
@@ -81,15 +77,67 @@ def warshall_closure(n, cover_pairs):
 
 
 def naive_orthomodular_witness(lat):
-    """First a < b with b != a v (~a ^ b), or None."""
+    """First a <= b with b != a v (~a ^ b) or a != b ^ (~b v a), or None.
+
+    The first is the orthomodular law, the second its dual; an ortholattice
+    can break them at different pairs, so both are asked at every pair.
+    """
+    oc = [int(x) for x in lat.ortho]
     for a in range(lat.n):
         for b in range(lat.n):
             if not lat.leq[a, b]:
                 continue
-            inner = naive_meet(lat, int(lat.ortho[a]), b)
-            if naive_join(lat, a, inner) != b:
+            law = naive_join(lat, a, naive_meet(lat, oc[a], b)) == b
+            dual = naive_meet(lat, b, naive_join(lat, oc[b], a)) == a
+            if not (law and dual):
                 return (a, b)
     return None
+
+
+def chained_orthomodular_witness(lat):
+    """First pair a <= b breaking the law or its dual, by two gather chains.
+
+    The law b == a v (~a ^ b) and the dual a == b ^ (~b v a) are each
+    evaluated over all pairs on the certified tables; the dual's violations
+    map back to (a, b).
+    """
+    leq, meet, join, ortho = lat.leq, lat.meet, lat.join, lat.ortho
+    ar = np.arange(lat.n)
+    lifted = join[ar[:, None], meet[ortho[:, None], ar[None, :]]]
+    bad = leq & (lifted != ar[None, :])
+    lowered = meet[ar[:, None], join[ortho[:, None], ar[None, :]]]
+    bad |= (leq.T & (lowered != ar[None, :])).T
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        return (int(a), int(b))
+    return None
+
+
+# The smallest random ortholattice found whose orthomodular law and dual law
+# first fail at different pairs: the law at ('e1', 'e2'), the dual earlier, at
+# ('e1', 'e0').
+DUAL_FIRST_DOCUMENT = """\
+elements e0 e1 e2 e3 e4 e5 e6 e7 e8 e9
+cover e0 e9
+cover e1 e2
+cover e2 e0
+cover e2 e7
+cover e3 e0
+cover e3 e6
+cover e4 e6
+cover e4 e7
+cover e5 e9
+cover e6 e5
+cover e7 e9
+cover e8 e1
+cover e8 e3
+cover e8 e4
+ortho e0 e4
+ortho e1 e5
+ortho e2 e6
+ortho e3 e7
+ortho e8 e9
+"""
 
 
 def naive_distributive_witness(lat, members=None):

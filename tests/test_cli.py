@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from orthologic import parse_lattice
 from orthologic.cli import build_parser, main
 from orthologic.reporting import REPORT_SCHEMA
@@ -92,6 +93,14 @@ def test_check_file_input(tmp_path, capsys):
     code, report = run_json(capsys, "check", str(doc))
     assert code == 0
     assert report["inputs"]["lattice"]["source"].startswith("file:")
+
+
+def test_check_names_the_dual_law_witness(tmp_path, capsys):
+    path = tmp_path / "dual-first.lat"
+    path.write_text(oracles.DUAL_FIRST_DOCUMENT)
+    code, report = run_json(capsys, "check", str(path))
+    assert code == 1
+    assert {"property": "orthomodular", "elements": ["e1", "e0"]} in report["witnesses"]
 
 
 def test_check_custom_requirements(capsys):

@@ -1,10 +1,15 @@
+import contextlib
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 import oracles
+from orthologic import analysis as analysis_module
+from orthologic import lattice as lattice_module
 from orthologic import (
+    CATALOG_NAMES,
     NotOrthomodular,
     catalog,
     center,
@@ -14,10 +19,19 @@ from orthologic import (
     compatible_decomposition,
     compatible_via_definition,
     direct_product,
+    generated_sublattice,
     incompatibility_witness,
+    infer_complement,
     is_compatible,
+    is_distributive_subset,
     is_irreducible,
+    isolated_check,
     lattice_from_covers,
+    maximally_mixed,
+    parse_lattice,
+    qubit_zx_lattice,
+    require_orthomodular,
+    sequence_probability,
 )
 
 
@@ -149,6 +163,112 @@ def test_one_pair_queries_reject_out_of_range_indices(mo2, past_the_end):
     for call in calls:
         with pytest.raises(ValueError, match=r"element index -?\d+ out of range"):
             call()
+
+
+def _non_integer_index_calls():
+    mo2, zx = catalog("MO2"), qubit_zx_lattice()
+    rho = maximally_mixed(zx.dim)
+    calls = {
+        "generated_sublattice": (1.9, lambda: generated_sublattice(mo2, [1.9])),
+        "is_distributive_subset": (0.2, lambda: is_distributive_subset(mo2, [0.2, 1.1, 2.7, 5.5])),
+        "is_compatible": (1.5, lambda: is_compatible(mo2, 1.5, 2)),
+        "compatible_decomposition": (1.5, lambda: compatible_decomposition(mo2, 1, 1.5)),
+        "compatible_via_definition": ("1", lambda: compatible_via_definition(mo2, "1", 2)),
+        "incompatibility_witness": (2.5, lambda: incompatibility_witness(mo2, 2.5)),
+        "sequence_probability": (1.7, lambda: sequence_probability(zx, rho, [(1.7, True)])),
+        "isolated_check": (np.float64(1.0), lambda: isolated_check(zx, rho, 1, np.float64(1.0))),
+        "infer_complement": (1.5, lambda: infer_complement(zx, 1.5)),
+    }
+    return [pytest.param(value, call, id=name) for name, (value, call) in calls.items()]
+
+
+@pytest.mark.parametrize("value, call", _non_integer_index_calls())
+def test_non_integer_indices_are_refused_not_truncated(value, call):
+    message = f"element index {re.escape(repr(value))} is not an integer"
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_integer_like_indices_are_accepted(mo2):
+    a, b = mo2.index("a"), mo2.index("b")
+    assert not is_compatible(mo2, np.int64(a), np.array(b))
+    assert generated_sublattice(mo2, [np.uint8(a), True]) == generated_sublattice(mo2, [a, 1])
+
+
+# ---------------------------------------------------------------------------
+# orthomodularity read off the compatibility relation
+
+
+def _relation_witness(lat):
+    """The witness ``compatibility_relation`` raises with, or None."""
+    try:
+        compatibility_relation(lat)
+    except NotOrthomodular as err:
+        return err.witness
+    return None
+
+
+def assert_witnesses_match_the_references(lat, naive=True):
+    expected = oracles.chained_orthomodular_witness(lat)
+    if naive:
+        assert oracles.naive_orthomodular_witness(lat) == expected
+    assert dict(classify(lat).witnesses).get("orthomodular") == expected
+    assert _relation_witness(lat) == expected
+
+
+def test_dual_law_can_fail_before_the_law():
+    lat = parse_lattice(oracles.DUAL_FIRST_DOCUMENT)
+    meet, join, oc = lat.meet, lat.join, lat.oc
+    law_breaks = [
+        (a, b) for a, b in zip(*np.nonzero(lat.leq)) if join[a, meet[oc(a), b]] != b
+    ]
+    first = (lat.index("e1"), lat.index("e0"))
+    assert law_breaks[0] == (lat.index("e1"), lat.index("e2"))
+    assert first not in law_breaks
+    assert meet[first[1], join[oc(first[1]), first[0]]] != first[0]
+    assert_witnesses_match_the_references(lat)
+    with pytest.raises(NotOrthomodular, match=r"at \('e1', 'e0'\)") as err:
+        require_orthomodular(lat)
+    assert err.value.witness == first
+
+
+def test_orthomodular_witnesses_on_catalog_products_and_relabellings():
+    rng = np.random.default_rng(15)
+    for first in CATALOG_NAMES:
+        assert_witnesses_match_the_references(catalog(first))
+        for second in CATALOG_NAMES:
+            lat = direct_product(catalog(first), catalog(second))
+            assert_witnesses_match_the_references(lat, naive=lat.n <= 64)
+            assert_witnesses_match_the_references(oracles.relabelled(lat, rng), naive=False)
+
+
+FULL_RELATION_QUERIES = {
+    "classify": classify,
+    "compatibility_relation": compatibility_relation,
+    "require_orthomodular": require_orthomodular,
+    "is_compatible": lambda lat: is_compatible(lat, 1, 2),
+    "compatible_decomposition": lambda lat: compatible_decomposition(lat, 1, 2),
+    "center": center,
+    "check_incompatible_lemma": check_incompatible_lemma,
+}
+
+
+@pytest.mark.parametrize("lattice_name", ["MO2xB2", "O6"])
+@pytest.mark.parametrize("query", FULL_RELATION_QUERIES)
+def test_each_query_evaluates_the_identity_once(monkeypatch, query, lattice_name):
+    kernel = lattice_module._identity_holds
+    full = []
+
+    def counted(lattice, *args, **kwargs):
+        if not args and not kwargs:
+            full.append(lattice)
+        return kernel(lattice, *args, **kwargs)
+
+    for module in (lattice_module, analysis_module):
+        monkeypatch.setattr(module, "_identity_holds", counted)
+    with contextlib.suppress(NotOrthomodular):
+        FULL_RELATION_QUERIES[query](catalog(lattice_name))
+    assert len(full) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from orthologic import (
     BadOrtho,
     CycleError,
     NotALattice,
+    NotOrthomodular,
     OrthologicError,
     catalog,
     center,
@@ -198,6 +199,27 @@ def test_self_dual_posets_match_naive_bounds(poset):
         assert first is None
     else:
         assert first is None and lat.join.tolist() == joins
+
+
+@settings(max_examples=300, deadline=None)
+@given(poset=self_dual_posets())
+def test_orthomodular_witness_matches_the_union_oracle(poset):
+    # the law and its dual may first fail at different pairs; the witness is
+    # the first pair at which either fails
+    leq, mirror = poset
+    try:
+        lat = lattice_from_leq([f"e{i}" for i in range(leq.shape[0])], leq, mirror)
+    except (NotALattice, BadOrtho):
+        return
+    expected = oracles.naive_orthomodular_witness(lat)
+    assert oracles.chained_orthomodular_witness(lat) == expected
+    assert dict(classify(lat).witnesses).get("orthomodular") == expected
+    try:
+        compatibility_relation(lat)
+    except NotOrthomodular as err:
+        assert err.witness == expected
+    else:
+        assert expected is None
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,0 +1,123 @@
+"""CLI report bytes, pinned by digest.
+
+Each command runs in a fresh directory that holds the documents below under
+relative file names.  The sha256 of its report, with the value of
+``timing_seconds`` blanked, must match ``report_digests.json``.  After a
+deliberate change to a report, rewrite that file with
+
+    PYTHONPATH=src python tests/test_report_digests.py
+
+``wigner`` and ``detect`` are left out: their reports carry floats.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import oracles
+from orthologic import catalog, direct_product, serialize_lattice
+from orthologic.cli import main
+
+DIGESTS = Path(__file__).with_name("report_digests.json")
+
+
+def shuffled_product(first, second, seed):
+    """The product document with its element order and later lines shuffled by ``seed``."""
+    head, *body = serialize_lattice(direct_product(catalog(first), catalog(second))).splitlines()
+    keyword, *names = head.split()
+    rng = random.Random(seed)
+    rng.shuffle(names)
+    rng.shuffle(body)
+    return "\n".join([" ".join([keyword, *names]), *body]) + "\n"
+
+
+DOCUMENTS = {
+    "ten.lat": oracles.DUAL_FIRST_DOCUMENT,
+    "mo2xb2.lat": shuffled_product("MO2", "B2", 1),
+    "o6xb2.lat": shuffled_product("O6", "B2", 2),
+    "mo3xb4.lat": shuffled_product("MO3", "B4", 3),
+    "o6xmo2.lat": shuffled_product("O6", "MO2", 4),
+    "b8xmo2.lat": shuffled_product("B8", "MO2", 5),
+}
+LATTICES = ("B2", "B4", "B8", "MO2", "MO3", "O6", "MO2xB2", *DOCUMENTS)
+
+COMMANDS = [
+    *(("check", name) for name in LATTICES),
+    *(("states", name) for name in LATTICES),
+    ("--text", "check", "O6"),
+    ("--text", "check", "ten.lat"),
+    ("--text", "check", "mo3xb4.lat"),
+    ("product", "MO2", "B2"),
+    ("product", "O6", "MO2"),
+    ("product", "ten.lat", "B2"),
+    ("product", "mo2xb2.lat", "B2"),
+    ("product", "o6xb2.lat", "B4"),
+    ("compat", "MO2", "a", "b"),
+    ("compat", "MO2", "a", "a'"),
+    ("compat", "MO2", "a", "1"),
+    ("compat", "MO3", "b", "c'"),
+    ("compat", "B8", "p", "qr"),
+    ("compat", "O6", "a", "b"),
+    ("compat", "O6", "a", "b'"),
+    ("compat", "MO2xB2", "(a,1)", "(b,0)"),
+    ("compat", "ten.lat", "e1", "e0"),
+    ("compat", "ten.lat", "e1", "e2"),
+    ("compat", "ten.lat", "e3", "e5"),
+    ("compat", "mo2xb2.lat", "(a,0)", "(a',1)"),
+    ("compat", "mo3xb4.lat", "(a,p)", "(b,q)"),
+    ("compat", "mo3xb4.lat", "(c,1)", "(c',p)"),
+    ("compat", "o6xmo2.lat", "(a,b)", "(b,b')"),
+    ("compat", "b8xmo2.lat", "(pq,a)", "(r,1)"),
+    ("compat", "b8xmo2.lat", "(p,a)", "(q,b)"),
+    ("compat", "mo2xb2.lat", "(a,0)", "nowhere"),
+    ("quantum", "--preset", "qubit-zx"),
+    ("quantum", "--preset", "qubit-z"),
+    ("quantum", "--preset", "qutrit-commuting"),
+]
+
+
+def command_id(argv):
+    return " ".join(argv)
+
+
+def report_digest(argv):
+    """sha256 of the report ``argv`` prints in the current directory, timing blanked."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        main(list(argv))
+    text = re.sub(r'("timing_seconds": |timing: )[-+.e0-9]+', r"\1", out.getvalue())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_documents(directory):
+    for name, text in DOCUMENTS.items():
+        Path(directory, name).write_text(text)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=command_id)
+def test_report_bytes_match_the_pinned_digest(tmp_path, monkeypatch, argv):
+    write_documents(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    pinned = json.loads(DIGESTS.read_text())
+    assert report_digest(argv) == pinned[command_id(argv)], command_id(argv)
+
+
+def test_every_pinned_command_is_run():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(map(command_id, COMMANDS))
+
+
+if __name__ == "__main__":
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        write_documents(workdir)
+        os.chdir(workdir)
+        digests = {command_id(argv): report_digest(argv) for argv in COMMANDS}
+        os.chdir(home)
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
