@@ -1,22 +1,29 @@
 """Finite bounded lattices with optional orthocomplementation.
 
 Everything is table-driven and exact: the order is a dense boolean matrix,
-and meets and joins are integer index tables.  Certification works on the
-rows of the order packed into 64-bit words: a pair has a glb exactly when
-the intersection of its down-sets is itself a down-set.  When the ortho map
-reverses the order, joins are read off the meets by De Morgan, so only the
-down-sets are searched.  A document's order is the closure of its covers,
-built as one bitset per element; it is a partial order by construction, so
-only an order matrix given directly is checked for transitivity, by one
-packed boolean product.  ``classify`` reads orthomodularity and then
-distributivity (Foulis-Holland) off the compatibility relation, and scans
-every triple only on other lattices.  Elements are identified by index;
-names are display metadata.  No floating point is used in this module.
+and meets and joins are integer index tables.  Certification works on pairs
+that generate the order: a document's cover lines, or the covers of an
+order matrix.  The meet table is a dynamic program over them, one height at
+a time, in a linear extension (the bit-vector view of Ait-Kaci, Boyer,
+Lincoln and Nasr, 1989): m(a, b) is a when a <= b, else the highest of
+m(c, b) over the pairs (c, a).  Checking m(c, b) <= m(a, b) for every pair
+proves every entry the glb; only when that check fails does a search among
+the packed down- and up-sets name the first pair lacking a bound.  When the
+ortho map reverses the order, joins are read off the meets by De Morgan;
+otherwise they are the same program on the reversed order.  A document's
+order is the closure of its covers, built as one bitset per element; it is
+a partial order by construction, so only an order matrix given directly is
+checked for transitivity, by one packed boolean product.  ``classify``
+reads orthomodularity and then distributivity (Foulis-Holland) off the
+compatibility relation, and scans every triple only on other lattices.
+Elements are identified by index; names are display metadata.  No floating
+point is used in this module.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,49 +201,139 @@ def _find_bounds(leq: np.ndarray) -> tuple[int | None, int | None]:
     return bottom, top
 
 
+def _cover_pairs(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hasse covers (lo, hi) of a partial order, ``strict & ~strict²``, in row order."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    return np.nonzero(strict & ~_bool_product(strict, strict))
+
+
 def _meet_join_tables(
-    leq: np.ndarray, mirror: np.ndarray | None = None
+    leq: np.ndarray, mirror: np.ndarray | None = None, pairs=None
 ) -> tuple[np.ndarray | None, np.ndarray | None, tuple[int, int] | None]:
-    """Meet/join index tables, or the first pair (a, b >= a) lacking a unique bound.
+    """Meet/join index tables of a bounded order, or its first pair lacking a bound.
 
-    a and b have a glb exactly when down(a) & down(b) is the down-set of
-    some element g, which is then the glb; distinct elements have distinct
-    down-sets, so g is found by binary search among the sorted packed
-    down-sets.  Rows go in blocks, each against the columns b >= its first
-    row; the tables are symmetric, and a bound missing at (a, b) is missing
-    at (b, a) too, so the first missing pair in row order has b >= a.
+    ``pairs`` (index arrays lo, hi with lo < hi) generate the order; they
+    default to its covers, and a document's cover lines may add redundant
+    ones.  The meets come from :func:`_glb_table` and are proved by
+    :func:`_glb_certified`.  A bounded order with every glb is a lattice, so
+    the joins then exist: read off the meets by De Morgan,
+    mirror[mirror[a] ^ mirror[b]], when an order-reversing involution
+    ``mirror`` (an ortho map) is given, else the same table on the reversed
+    order.  Only a failed certificate runs :func:`_bound_witness`.
+    """
+    lo, hi = _cover_pairs(leq) if pairs is None else pairs
+    meet = _glb_table(leq, lo, hi)
+    if not _glb_certified(leq, meet, lo, hi):
+        return None, None, _bound_witness(leq)
+    join = _glb_table(leq.T, hi, lo) if mirror is None else _mirrored(meet, mirror)
+    return meet, join, None
 
-    Without ``mirror`` the lub is the same search among the up-sets.  An
-    order-reversing involution ``mirror`` (an ortho map) carries up-sets
-    to down-sets, so only the down-sets are searched and a v b is
-    mirror[mirror[a] ^ mirror[b]].  A lattice has every glb, so when a glb
-    is missing the order is not one, and its first pair lacking either
-    bound comes from the search over both sides.
+
+def _heights(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Longest chain of pairs (lo, hi) ending at each element, by rounds of relaxation."""
+    by_hi = np.argsort(hi, kind="stable")
+    lo, hi = lo[by_hi], hi[by_hi]
+    firsts = np.flatnonzero(np.diff(hi, prepend=-1))
+    height = np.zeros(n, dtype=np.int64)
+    if not lo.size:
+        return height
+    while True:
+        grown = height.copy()
+        grown[hi[firsts]] = np.maximum.reduceat(height[lo], firsts) + 1
+        if np.array_equal(grown, height):
+            return height
+        height = grown
+
+
+def _glb_table(leq: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Meet table of a bounded order generated by the pairs (lo, hi), where it has one.
+
+    Elements are ranked by down-set size, a linear extension.  m(a, b) is a
+    when a <= b, else the highest-ranked m(c, b) over the pairs (c, a).
+    When a and b have a glb g < a, every pair (c, a) with g <= c gives g and
+    every other gives an element strictly below g, so m(a, b) = g by
+    induction; :func:`_glb_certified` decides whether every glb exists.
+    Rows are filled one height at a time, in rank space and the narrowest
+    unsigned dtype, in chunks of pairs whose rows fit the block cap.  A
+    chunk's pairs are sorted by target, and the maximum over each run of
+    one target is taken by doubling: after the step of span s, a row holds
+    the maximum of the next 2s rows of its run.
     """
     n = leq.shape[0]
-    searches = []
-    for sets in (leq.T,) if mirror is not None else (leq.T, leq):
-        packed = _packed(sets)  # down-sets give the meet, up-sets the join
-        order = np.argsort(_keys(packed))
-        searches.append((packed, packed[order], order))
-    tables = [np.empty((n, n), dtype=np.int64) for _ in searches]
+    by_rank = np.argsort(np.count_nonzero(leq, axis=0), kind="stable")
+    rank = np.empty(n, dtype=np.min_scalar_type(n - 1))
+    rank[by_rank] = np.arange(n)
+    table = leq * rank[:, None]  # 0 where a is not <= b: the bottom's rank
+    level = _heights(n, lo, hi)[hi]
+    order = np.lexsort((hi, level))  # by height, then by target
+    lo, hi, level = lo[order], hi[order], level[order]
+    step = max(1, _BLOCK_BYTES // (table.itemsize * n))
+    cuts = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), lo.size]
+    for start, stop in zip(cuts, cuts[1:]):
+        for first in range(start, stop, step):
+            chunk = slice(first, min(first + step, stop))
+            targets, best = hi[chunk], table.take(lo[chunk], axis=0)
+            span = 1
+            while span < targets.size:
+                same = targets[:-span] == targets[span:]
+                if not same.any():
+                    break
+                later = best[span:] * same[:, None].astype(best.dtype)  # 0 past the run
+                np.maximum(best[:-span], later, out=best[:-span])
+                span *= 2
+            firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+            rows = targets[firsts]
+            table[rows] = np.maximum(table[rows], best[firsts])
+    meet = np.empty((n, n), dtype=np.int64)
+    for block in _row_blocks(n, n, 1):
+        meet[block] = by_rank[table[block].astype(np.intp)]
+    return meet
+
+
+def _glb_certified(leq: np.ndarray, meet: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether m(c, b) <= m(a, b) for every pair (c, a) and every b.
+
+    m(a, b) is a or some m(c, b), so it is a common lower bound of a and b.
+    A common lower bound h < a lies below some c with (c, a) a pair, since
+    the pairs generate the order; by induction on a, h <= m(c, b) <= m(a, b).
+    So the check passing proves every m(a, b) the glb.
+    """
+    n = leq.shape[0]
+    flat = leq.reshape(-1)
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for first in range(0, lo.size, step):
+        cell = meet.take(lo[first : first + step], axis=0) * n
+        cell += meet.take(hi[first : first + step], axis=0)
+        if not flat.take(cell).all():
+            return False
+    return True
+
+
+def _bound_witness(leq: np.ndarray) -> tuple[int, int] | None:
+    """First pair (a, b >= a) lacking a glb or a lub, by search among packed rows.
+
+    a and b have a glb exactly when down(a) & down(b) is the down-set of
+    some element, found by binary search among the sorted packed down-sets;
+    the lub is the same search among the up-sets.  Rows go in blocks, each
+    against the columns b >= its first row; a bound missing at (a, b) is
+    missing at (b, a) too, so the first missing pair in row order has b >= a.
+    """
+    n = leq.shape[0]
+    sides = []
+    for sets in (leq.T, leq):
+        packed = _packed(sets)
+        sides.append((packed, packed[np.argsort(_keys(packed))]))
     for block in _row_blocks(n, n, packed.shape[1]):
         tail = slice(block.start, n)
         missing = np.zeros((block.stop - block.start, n - block.start), dtype=bool)
-        for (packed, ranked, order), table in zip(searches, tables):
+        for packed, ranked in sides:
             common = packed[block, None, :] & packed[None, tail, :]
             pos = np.minimum(np.searchsorted(_keys(ranked), _keys(common)), n - 1)
             missing |= (ranked[pos] != common).any(axis=2)
-            table[block, tail] = order[pos]
-            table[tail, block] = table[block, tail].T
         if missing.any():
-            if mirror is not None:  # a pair lacking a lub may come first
-                return _meet_join_tables(leq)
             a, b = np.argwhere(missing)[0]
-            return None, None, (block.start + int(a), block.start + int(b))
-    if mirror is not None:
-        tables.append(_mirrored(tables[0], mirror))
-    return tables[0], tables[1], None
+            return (block.start + int(a), block.start + int(b))
+    return None
 
 
 def _mirrored(meet: np.ndarray, mirror: np.ndarray) -> np.ndarray:
@@ -244,7 +341,7 @@ def _mirrored(meet: np.ndarray, mirror: np.ndarray) -> np.ndarray:
     n = meet.shape[0]
     join = np.empty_like(meet)
     for block in _row_blocks(n, n, 1):
-        join[block] = mirror[meet[mirror[block]][:, mirror]]
+        join[block] = mirror.take(meet.take(mirror[block], axis=0).take(mirror, axis=1))
     return join
 
 
@@ -338,15 +435,25 @@ def _identity_holds(lattice: Lattice, b=slice(None)):
 # construction
 
 
+# A name is a nonempty run of printable characters, none of them whitespace
+# (``\s`` is ``str.isspace``) or the comment mark ``#``.  ``re`` compiles and
+# caches the pattern on first use, so importing the module compiles nothing.
+_NAME = r"[^\s#]+"
+
+
 def _check_names(names: tuple[str, ...]) -> None:
+    """Refuse the first bad or repeated name; one pass over the joined names when all pass."""
+    joined = "".join(names)
+    if (
+        all(names)
+        and joined.isprintable()
+        and re.fullmatch(_NAME, joined)
+        and len(set(names)) == len(names)
+    ):
+        return
     seen = set()
     for name in names:
-        if (
-            not name
-            or not name.isprintable()
-            or any(ch.isspace() for ch in name)
-            or "#" in name
-        ):
+        if not (name.isprintable() and re.fullmatch(_NAME, name)):
             raise ValueError(f"bad element name {name!r}")
         if name in seen:
             raise ValueError(f"duplicate element name {name!r}")
@@ -388,25 +495,29 @@ def lattice_from_leq(names, leq, ortho=None) -> Lattice:
     return _certified(names, leq, ortho)
 
 
-def _certified(names: tuple[str, ...], leq: np.ndarray, ortho) -> Lattice:
+def _certified(names: tuple[str, ...], leq: np.ndarray, ortho, pairs=None) -> Lattice:
     """Certify the bounds, meets and joins, and ``ortho``, of a partial order.
 
-    When ``ortho`` is a permutation, an involution and order-reversing, it
-    serves the bound search as its mirror.  A failure of the lattice laws
-    is reported before any failure of ``ortho``.
+    ``pairs`` generate the order, as in :func:`_meet_join_tables`.  When
+    ``ortho`` is a permutation, an involution and order-reversing, it gives
+    the joins by De Morgan.  A failure of the lattice laws is reported
+    before any failure of ``ortho``.
     """
     n = len(names)
     bottom, top = _find_bounds(leq)
     if bottom is None or top is None:
         raise NotALattice("order has no minimum or no maximum element")
+    lo, hi = _cover_pairs(leq) if pairs is None else pairs
     ortho_arr = mirror = reversal = None
     if ortho is not None:
         ortho_arr, ar = np.array(ortho, dtype=np.int64), np.arange(n)
         permutes = ortho_arr.shape == (n,) and np.array_equal(np.sort(ortho_arr), ar)
         if permutes and np.array_equal(ortho_arr[ortho_arr], ar):
-            reversal = _reversal_witness(leq, ortho_arr)
+            # reversing each generating pair reverses every chain of them
+            if not leq[ortho_arr[hi], ortho_arr[lo]].all():
+                reversal = _reversal_witness(leq, ortho_arr)
             mirror = ortho_arr if reversal is None else None
-    meet, join, pair = _meet_join_tables(leq, mirror)
+    meet, join, pair = _meet_join_tables(leq, mirror, (lo, hi))
     if pair is not None:
         raise NotALattice(
             f"pair ({names[pair[0]]!r}, {names[pair[1]]!r}) lacks a unique "
@@ -465,15 +576,27 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
 
     The closure of the covers is reflexive and transitive by construction,
     and the cycle check proves it antisymmetric, so the order axioms are not
-    checked again.
+    checked again.  Redundant pairs (lo < hi, but not a cover) are allowed.
     """
     names = tuple(names)
-    n = len(names)
-    _checked_indices(n, (i for pair in (*cover_pairs, *ortho_pairs) for i in pair))
+    _checked_indices(len(names), (i for pair in (*cover_pairs, *ortho_pairs) for i in pair))
+    lows, highs = [], []
     for lo, hi in cover_pairs:
         if lo == hi:
             raise CycleError(f"self-cover on element {names[lo]!r}")
-    leq = _closure_of_covers(n, cover_pairs)
+        lows.append(lo)
+        highs.append(hi)
+    return _from_covers(names, lows, highs, ortho_pairs, names_checked=False)
+
+
+def _from_covers(names, lows, highs, ortho_pairs, names_checked: bool) -> Lattice:
+    """Certify the lattice of covers whose indices are in range and not self-covers.
+
+    Unless ``names_checked``, the names are checked after the order and the
+    ortho pairs, as :func:`lattice_from_covers` has always reported them.
+    """
+    n = len(names)
+    leq = _closure_of_covers(n, zip(lows, highs))
     cyc = leq & leq.T & ~np.eye(n, dtype=bool)
     if cyc.any():
         a, b = np.argwhere(cyc)[0]
@@ -497,9 +620,11 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
                 f"ortho map is partial: {names[unpaired[0]]!r} has no complement"
             )
         ortho = perm
-    names = tuple(str(s) for s in names)
-    _check_names(names)
-    return _certified(names, leq, ortho)
+    if not names_checked:
+        names = tuple(str(s) for s in names)
+        _check_names(names)
+    pairs = np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
+    return _certified(names, leq, ortho, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -512,25 +637,47 @@ def parse_lattice(text: str) -> Lattice:
     Directives: ``elements <names...>``, ``bottom <name>``, ``top <name>``,
     ``cover <lo> <hi>``, ``ortho <x> <y>``.  ``#`` starts a comment.  The
     order is the reflexive-transitive closure of the covers; declared bounds
-    are cross-checked against the inferred ones.
+    are cross-checked against the inferred ones.  Names are split on
+    whitespace after ``#`` is cut, and checked printable and distinct here,
+    so the builder does not check them again.
     """
     names: list[str] = []
     index: dict[str, int] = {}
     declared: dict[str, str] = {}
-    cover_pairs: list[tuple[int, int]] = []
+    lows: list[int] = []
+    highs: list[int] = []
     ortho_pairs: list[tuple[int, int]] = []
 
-    def resolve(token: str, lineno: int) -> int:
-        if token not in index:
-            raise ParseError(f"line {lineno}: unknown element {token!r}")
-        return index[token]
+    def unknown(tokens, lineno: int) -> ParseError:
+        token = next(t for t in tokens if t not in index)
+        return ParseError(f"line {lineno}: unknown element {token!r}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        args = line.split()
+        if not args:
             continue
-        kw, *args = line.split()
-        if kw == "elements":
+        kw = args.pop(0)
+        if kw == "cover":
+            if len(args) != 2:
+                raise ParseError(f"line {lineno}: 'cover' takes exactly two names")
+            try:
+                lo, hi = index[args[0]], index[args[1]]
+            except KeyError:
+                raise unknown(args, lineno) from None
+            if lo == hi:
+                raise CycleError(f"line {lineno}: self-cover on {args[0]!r}")
+            lows.append(lo)
+            highs.append(hi)
+        elif kw == "ortho":
+            if len(args) != 2:
+                raise ParseError(f"line {lineno}: 'ortho' takes exactly two names")
+            try:
+                ortho_pairs.append((index[args[0]], index[args[1]]))
+            except KeyError:
+                raise unknown(args, lineno) from None
+        elif kw == "elements":
             if not args:
                 raise ParseError(f"line {lineno}: 'elements' needs at least one name")
             for name in args:
@@ -545,25 +692,15 @@ def parse_lattice(text: str) -> Lattice:
                 raise ParseError(f"line {lineno}: '{kw}' takes exactly one name")
             if kw in declared:
                 raise ParseError(f"line {lineno}: '{kw}' declared twice")
-            resolve(args[0], lineno)
+            if args[0] not in index:
+                raise unknown(args, lineno)
             declared[kw] = args[0]
-        elif kw == "cover":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: 'cover' takes exactly two names")
-            lo, hi = (resolve(t, lineno) for t in args)
-            if lo == hi:
-                raise CycleError(f"line {lineno}: self-cover on {args[0]!r}")
-            cover_pairs.append((lo, hi))
-        elif kw == "ortho":
-            if len(args) != 2:
-                raise ParseError(f"line {lineno}: 'ortho' takes exactly two names")
-            ortho_pairs.append(tuple(resolve(t, lineno) for t in args))
         else:
             raise ParseError(f"line {lineno}: unknown directive {kw!r}")
 
     if not names:
         raise ParseError("document declares no elements")
-    lat = lattice_from_covers(names, cover_pairs, ortho_pairs)
+    lat = _from_covers(tuple(names), lows, highs, ortho_pairs, names_checked=True)
     for kw, attr in (("bottom", lat.bottom), ("top", lat.top)):
         if kw in declared and index[declared[kw]] != attr:
             raise NotALattice(
@@ -574,9 +711,7 @@ def parse_lattice(text: str) -> Lattice:
 
 def covers(lattice: Lattice) -> list[tuple[int, int]]:
     """Hasse cover pairs (lo, hi) of the lattice order."""
-    n = lattice.n
-    strict = lattice.leq & ~np.eye(n, dtype=bool)
-    lo, hi = np.nonzero(strict & ~_bool_product(strict, strict))
+    lo, hi = _cover_pairs(lattice.leq)
     return list(zip(lo.tolist(), hi.tolist()))
 
 

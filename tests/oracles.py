@@ -66,6 +66,22 @@ def naive_ortho_witness(lat):
     return None
 
 
+def looped_check_names(names):
+    """The element-name check as a per-character loop: the first bad or repeated name."""
+    seen = set()
+    for name in names:
+        if (
+            not name
+            or not name.isprintable()
+            or any(ch.isspace() for ch in name)
+            or "#" in name
+        ):
+            raise ValueError(f"bad element name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate element name {name!r}")
+        seen.add(name)
+
+
 def warshall_closure(n, cover_pairs):
     """Reflexive-transitive closure of the covers (lo, hi) by Warshall's n steps."""
     leq = np.eye(n, dtype=bool)

@@ -149,6 +149,33 @@ def test_criterion_03_incompatibility_propagation_lemma():
             )
 
 
+def test_elements_compatible_with_one_element_form_a_sub_oml():
+    # the correctly stated lemma beside criterion 3: in an orthomodular
+    # lattice the elements compatible with c are closed under meet, join
+    # and orthocomplement
+    rng = np.random.default_rng(17)
+    lattices = [catalog(name) for name in OML_NAMES]
+    lattices += [
+        direct_product(catalog(first), catalog(second))
+        for first, second in itertools.product(OML_NAMES, repeat=2)
+    ]
+    lattices += [
+        oracles.relabelled(oracles.greechie_pasting(oracles.greechie_ring(k)), rng)
+        for k in (5, 6, 7, 12)
+    ]
+    proper = 0
+    for lat in lattices:
+        relation = compatibility_relation(lat)
+        for c in range(lat.n):
+            inside = relation[c]
+            members = np.flatnonzero(inside)
+            grid = np.ix_(members, members)
+            assert inside[lat.meet[grid]].all() and inside[lat.join[grid]].all()
+            assert inside[lat.ortho[members]].all()
+            proper += members.size < lat.n
+    assert proper > 0  # not every element is central
+
+
 def test_criterion_04_dispersion_free_states():
     with criterion(4, "dispersion-free enumeration and the center theorem", 10.0) as failures:
         expected = {"B4": 2, "B8": 3, "MO2": 0, "MO3": 0, "MO2xB2": 1}

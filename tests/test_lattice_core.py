@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -556,15 +557,27 @@ def test_only_an_order_matrix_gets_its_order_proved(monkeypatch):
 
 def test_an_order_reversing_ortho_map_halves_the_bound_search(monkeypatch):
     product = serialize_lattice(_cube("MO3", "B8", "B4"))
-    searched = _count_calls(monkeypatch, "_packed")  # one packing per searched side
+    sides = _count_calls(monkeypatch, "_glb_table")  # one table per side filled
+    searched = _count_calls(monkeypatch, "_bound_witness")
     parse_lattice(product)
-    assert len(searched) == 1
+    assert len(sides) == 1
     parse_lattice(product.replace("ortho ", "# ortho "))
-    assert len(searched) == 3
-    # 0 <-> p, 1 <-> q is an involution that keeps 0 <= p: both sides searched
+    assert len(sides) == 3
+    # 0 <-> p, 1 <-> q is an involution that keeps 0 <= p: both sides filled
     with pytest.raises(BadOrtho, match="complement_meet"):
         parse_lattice(B4_DOC.replace("ortho p q\northo 0 1", "ortho 0 p\northo 1 q"))
-    assert len(searched) == 5
+    assert len(sides) == 5
+    assert searched == []  # the packed search runs only when the certificate fails
+    # M3 with a second top: the meet side fails its certificate, then one search
+    with pytest.raises(NotALattice):
+        lattice_from_covers(["0", "a", "b", "c", "d"], [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+    assert len(sides) == 5 and searched == []  # no top: refused before any table
+    with pytest.raises(NotALattice, match="lacks a unique"):
+        parse_lattice(
+            "elements 0 a b c d 1\ncover 0 a\ncover 0 b\ncover a c\ncover b c\n"
+            "cover a d\ncover b d\ncover c 1\ncover d 1\n"
+        )
+    assert len(sides) == 6 and len(searched) == 1
 
 
 def test_parsing_256_elements_stays_within_the_tables():
@@ -594,6 +607,155 @@ def test_lemma_reads_one_row_like_the_looped_scan(name):
     for lat in lattices:
         for version in (lat, oracles.relabelled(lat, rng)):
             assert check_incompatible_lemma(version) == oracles.looped_incompatible_lemma(version)
+
+
+# Inputs with two or more faults, each with the one error it reports (type,
+# message, witness), recorded before the meet tables came from covers and
+# before the parser stopped handing its names to the public checks.  A
+# document is read line by line, then closed into an order, then its ortho
+# lines, tables and declared bounds are checked; lattice_from_covers checks
+# indices, self-covers, the order, the ortho pairs, the names and the tables.
+_N6 = ["0", "a", "b", "c", "d", "1"]
+_BOW = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]  # a, b lack a lub
+_BOW_DOC = "elements 0 a b c d 1\n" + "".join(f"cover {_N6[x]} {_N6[y]}\n" for x, y in _BOW)
+_CHAIN = "elements 0 a b 1\ncover 0 a\ncover a b\ncover b 1\n"
+_CYCLE = [(0, 1), (1, 2), (2, 1), (2, 3)]
+_CYCLE_DOC = "elements 0 a b 1\ncover 0 a\ncover a b\ncover b a\ncover b 1\n"
+_NO_LUB = "pair ('a', 'b') lacks a unique greatest lower or least upper bound"
+_PRECEDENCE = {
+    "covers-bad-name-cycle": (
+        (["0", "a b", "c", "1"], _CYCLE, ()),
+        CycleError, "covers contain a cycle through 'a b' and 'c'", (1, 2),
+    ),
+    "covers-hash-name-cycle": (
+        (["0", "a#", "c", "1"], _CYCLE, ()),
+        CycleError, "covers contain a cycle through 'a#' and 'c'", (1, 2),
+    ),
+    "covers-duplicate-name-cycle": (
+        (["0", "a", "a", "1"], _CYCLE, ()),
+        CycleError, "covers contain a cycle through 'a' and 'a'", (1, 2),
+    ),
+    "covers-bad-name-missing-glb": (
+        (["0", "a", "b", "c", "d e", "1"], _BOW, ()),
+        ValueError, "bad element name 'd e'", None,
+    ),
+    "covers-bad-name-partial-ortho": (
+        (["0", "a b", "1"], [(0, 1), (1, 2)], [(0, 2)]),
+        BadOrtho, "ortho map is partial: 'a b' has no complement", None,
+    ),
+    "covers-self-cover-out-of-range-cover": (
+        (["0", "a", "1"], [(1, 1), (0, 5)], ()),
+        ValueError, "element index 5 out of range", None,
+    ),
+    "covers-self-cover-out-of-range-ortho": (
+        (["0", "a", "1"], [(0, 1), (1, 1), (1, 2)], [(0, 9)]),
+        ValueError, "element index 9 out of range", None,
+    ),
+    "covers-self-cover-negative-index": (
+        (["0", "a", "1"], [(1, 1), (-1, 2)], ()),
+        ValueError, "element index -1 out of range", None,
+    ),
+    "covers-self-cover-non-integer-index": (
+        (["0", "a", "1"], [(1, 1), (1.5, 2)], ()),
+        ValueError, "element index 1.5 is not an integer", None,
+    ),
+    "covers-self-cover-cycle": (
+        (["0", "a", "b", "1"], [(0, 1), (1, 2), (2, 1), (2, 2)], ()),
+        CycleError, "self-cover on element 'b'", None,
+    ),
+    "covers-partial-ortho-missing-glb": (
+        (_N6, _BOW, [(0, 5), (1, 2)]),
+        BadOrtho, "ortho map is partial: 'c' has no complement", None,
+    ),
+    "covers-two-complements-missing-glb": (
+        (_N6, _BOW, [(0, 5), (1, 2), (1, 3)]),
+        BadOrtho, "element 'a' is given two different complements", None,
+    ),
+    "covers-non-reversing-ortho-missing-glb": (
+        (_N6, _BOW, [(0, 5), (1, 3), (2, 4)]), NotALattice, _NO_LUB, (1, 2),
+    ),
+    "covers-cycle-partial-ortho": (
+        (["0", "a", "b", "1"], _CYCLE, [(0, 3)]),
+        CycleError, "covers contain a cycle through 'a' and 'b'", (1, 2),
+    ),
+    "parse-unprintable-name-cycle": (
+        "elements 0 a\x07 b 1\ncover 0 a\x07\ncover a\x07 b\ncover b a\x07\ncover b 1\n",
+        ParseError, "line 1: unprintable element name 'a\\x07'", None,
+    ),
+    "parse-duplicate-name-cycle": (
+        "elements 0 a b a 1\ncover 0 a\ncover a b\ncover b a\n",
+        ParseError, "line 1: duplicate element name 'a'", None,
+    ),
+    "parse-self-cover-then-unknown-name": (
+        _CHAIN + "cover a a\ncover 0 zz\n", CycleError, "line 5: self-cover on 'a'", None,
+    ),
+    "parse-unknown-name-then-self-cover": (
+        _CHAIN + "cover 0 zz\ncover a a\n", ParseError, "line 5: unknown element 'zz'", None,
+    ),
+    "parse-two-unknown-names": (
+        _CHAIN + "cover yy zz\n", ParseError, "line 5: unknown element 'yy'", None,
+    ),
+    "parse-cover-arity-unknown-name": (
+        _CHAIN + "cover 0 a zz\n", ParseError, "line 5: 'cover' takes exactly two names", None,
+    ),
+    "parse-unknown-bottom-self-cover": (
+        "elements 0 a 1\nbottom zz\ncover a a\n", ParseError, "line 2: unknown element 'zz'", None,
+    ),
+    "parse-partial-ortho-missing-glb": (
+        _BOW_DOC + "ortho 0 1\northo a b\n",
+        BadOrtho, "ortho map is partial: 'c' has no complement", None,
+    ),
+    "parse-wrong-bottom-missing-glb": (_BOW_DOC + "bottom a\n", NotALattice, _NO_LUB, (1, 2)),
+    "parse-wrong-bottom-partial-ortho": (
+        _CHAIN + "bottom a\northo 0 1\n",
+        BadOrtho, "ortho map is partial: 'a' has no complement", None,
+    ),
+    "parse-wrong-bottom-wrong-top": (
+        _CHAIN + "bottom a\ntop b\n",
+        NotALattice, "declared bottom 'a' is not the bottom of the order", None,
+    ),
+    "parse-wrong-top-cycle": (
+        _CYCLE_DOC + "top a\n", CycleError, "covers contain a cycle through 'a' and 'b'", (1, 2),
+    ),
+    "parse-wrong-bottom-cycle": (
+        _CYCLE_DOC + "bottom a\n",
+        CycleError, "covers contain a cycle through 'a' and 'b'", (1, 2),
+    ),
+    "parse-wrong-bottom-bad-ortho-law": (
+        _CHAIN + "bottom a\northo 0 1\northo a b\n",
+        BadOrtho, "orthocomplementation fails complement_meet at (a)", (1,),
+    ),
+    "parse-bottom-twice-unknown-name": (
+        _CHAIN + "bottom 0\nbottom 0\ncover 0 zz\n",
+        ParseError, "line 6: 'bottom' declared twice", None,
+    ),
+    "parse-no-elements-unknown-directive": (
+        "# nothing\nfrob x\n", ParseError, "line 2: unknown directive 'frob'", None,
+    ),
+    "parse-missing-glb-non-reversing-ortho": (
+        _BOW_DOC + "ortho 0 1\northo a c\northo b d\n", NotALattice, _NO_LUB, (1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _PRECEDENCE)
+def test_the_first_of_several_faults_is_reported(case):
+    given, kind, message, witness = _PRECEDENCE[case]
+    with pytest.raises(Exception) as err:
+        if isinstance(given, str):
+            parse_lattice(given)
+        else:
+            lattice_from_covers(*given)
+    assert type(err.value) is kind and str(err.value) == message
+    assert getattr(err.value, "witness", None) == witness
+
+
+def test_the_library_avoids_bitwise_count():
+    # np.bitwise_count needs numpy >= 2.0; pyproject.toml promises numpy >= 1.24
+    package = Path(lattice_module.__file__).parent
+    users = [path.name for path in sorted(package.glob("*.py")) if "bitwise_count" in path.read_text()]
+    assert users == []
+    assert 'numpy>=1.24' in (package.parents[1] / "pyproject.toml").read_text()
 
 
 def test_order_isomorphism_negative_cases():

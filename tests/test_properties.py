@@ -201,6 +201,75 @@ def test_self_dual_posets_match_naive_bounds(poset):
         assert first is None and lat.join.tolist() == joins
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    poset=st.one_of(bounded_posets().map(lambda leq: (leq, None)), self_dual_posets()),
+    data=st.data(),
+)
+def test_redundant_generating_pairs_give_the_naive_tables(poset, data):
+    # the covers, plus comparable pairs that are not covers, plus repeats,
+    # in any order: the tables and the witness do not change
+    leq, mirror = poset
+    n = leq.shape[0]
+    meets, joins, unbounded = _unbounded_pairs(leq)
+    lo, hi = lattice_module._cover_pairs(leq)
+    comparable = np.argwhere(leq & ~np.eye(n, dtype=bool)).tolist()
+    pairs = [*zip(lo.tolist(), hi.tolist())]
+    pairs += data.draw(st.lists(st.sampled_from(comparable), max_size=2 * n))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=n))
+    pairs = data.draw(st.permutations(pairs))
+    generating = tuple(np.array([p[k] for p in pairs], dtype=np.int64) for k in (0, 1))
+    meet, join, pair = lattice_module._meet_join_tables(leq, mirror, generating)
+    assert pair == (unbounded[0] if unbounded else None)
+    if not unbounded:
+        assert meet.tolist() == meets and join.tolist() == joins
+    try:
+        lat = lattice_from_covers([f"e{i}" for i in range(n)], pairs)
+    except NotALattice as err:
+        assert err.witness == unbounded[0]
+    else:
+        assert not unbounded and lat.meet.tolist() == meets and lat.join.tolist() == joins
+
+
+@settings(max_examples=150, deadline=None)
+@given(leq=bounded_posets())
+def test_the_meet_certificate_fails_exactly_on_non_lattices(leq):
+    # the table is the glb wherever one exists, lattice or not; only the
+    # certificate tells whether every pair has one
+    meets, _, unbounded = _unbounded_pairs(leq)
+    lo, hi = lattice_module._cover_pairs(leq)
+    meet = lattice_module._glb_table(leq, lo, hi)
+    for a, row in enumerate(meets):
+        for b, glb in enumerate(row):
+            assert glb is None or meet[a, b] == glb
+    certified = lattice_module._glb_certified(leq, meet, lo, hi)
+    assert certified == (not unbounded)
+    if not certified:
+        assert lattice_module._bound_witness(leq) == unbounded[0]
+
+
+_NAME_CHARS = st.sampled_from(
+    ["a", "0", "(", ",", "é", " ", "\t", "\n", "#", "\x00", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(
+        st.one_of(st.text(_NAME_CHARS, max_size=3), st.text(max_size=3)), max_size=6
+    )
+)
+def test_name_check_matches_the_looped_predicate(names):
+    def outcome(check):
+        try:
+            check(tuple(names))
+        except ValueError as err:
+            return str(err)
+        return None
+
+    assert outcome(lattice_module._check_names) == outcome(oracles.looped_check_names)
+
+
 @settings(max_examples=300, deadline=None)
 @given(poset=self_dual_posets())
 def test_orthomodular_witness_matches_the_union_oracle(poset):
@@ -230,8 +299,10 @@ def test_orthomodular_witness_matches_the_union_oracle(poset):
 def test_blocked_tables_do_not_depend_on_the_block_size(poset, block_rows):
     leq, mirror = poset
     meet, join, pair = lattice_module._meet_join_tables(leq, mirror)
-    row_bytes = 8 * leq.shape[0]  # one uint64 word per packed row up to n = 64
-    with mock.patch.object(lattice_module, "_BLOCK_BYTES", block_rows * row_bytes):
+    # a uint8 rank row takes n bytes: the table fills block_rows pairs at a
+    # time, so a target's pairs split across chunks; the certificate, the
+    # mirror and the packed search take one row at a time
+    with mock.patch.object(lattice_module, "_BLOCK_BYTES", block_rows * leq.shape[0]):
         blocked = lattice_module._meet_join_tables(leq, mirror)
     assert blocked[2] == pair
     if pair is None:
