@@ -13,11 +13,11 @@ ortho map reverses the order, joins are read off the meets by De Morgan;
 otherwise they are the same program on the reversed order.  A document's
 order is the closure of its covers, built as one bitset per element; it is
 a partial order by construction, so only an order matrix given directly is
-checked for transitivity, by one packed boolean product.  ``classify``
-reads orthomodularity and then distributivity (Foulis-Holland) off the
-compatibility relation, and scans every triple only on other lattices.
-Elements are identified by index; names are display metadata.  No floating
-point is used in this module.
+checked for transitivity, by one packed boolean product that also gives its
+covers.  ``classify`` reads orthomodularity and then distributivity
+(Foulis-Holland) off the compatibility relation, and scans every triple
+only on other lattices.  Elements are identified by index; names are
+display metadata.  No floating point is used in this module.
 """
 
 from __future__ import annotations
@@ -177,7 +177,12 @@ def _bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # order scans
 
 
-def _order_witness(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
+def _order_witness(leq: np.ndarray, through: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
+    """First failed partial-order axiom; ``through`` is strict², the pairs a < c < b.
+
+    Transitivity is checked on a reflexive order, where leq² = leq | strict²,
+    so it fails exactly where strict² is not below ``leq``.
+    """
     n = leq.shape[0]
     diag = np.diagonal(leq)
     if not diag.all():
@@ -186,7 +191,7 @@ def _order_witness(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     if sym.any():
         a, b = np.argwhere(sym)[0]
         return ("antisymmetric", (int(a), int(b)))
-    broken = _bool_product(leq, leq) & ~leq
+    broken = through & ~leq
     if broken.any():
         a, b = np.argwhere(broken)[0]
         return ("transitive", (int(a), int(b)))
@@ -208,20 +213,20 @@ def _cover_pairs(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _meet_join_tables(
-    leq: np.ndarray, mirror: np.ndarray | None = None, pairs=None
+    leq: np.ndarray, mirror: np.ndarray | None, pairs: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray | None, np.ndarray | None, tuple[int, int] | None]:
     """Meet/join index tables of a bounded order, or its first pair lacking a bound.
 
-    ``pairs`` (index arrays lo, hi with lo < hi) generate the order; they
-    default to its covers, and a document's cover lines may add redundant
-    ones.  The meets come from :func:`_glb_table` and are proved by
+    ``pairs`` (index arrays lo, hi with lo < hi) generate the order: its
+    covers, or a document's cover lines, which may add redundant ones.  The
+    meets come from :func:`_glb_table` and are proved by
     :func:`_glb_certified`.  A bounded order with every glb is a lattice, so
     the joins then exist: read off the meets by De Morgan,
     mirror[mirror[a] ^ mirror[b]], when an order-reversing involution
     ``mirror`` (an ortho map) is given, else the same table on the reversed
     order.  Only a failed certificate runs :func:`_bound_witness`.
     """
-    lo, hi = _cover_pairs(leq) if pairs is None else pairs
+    lo, hi = pairs
     meet = _glb_table(leq, lo, hi)
     if not _glb_certified(leq, meet, lo, hi):
         return None, None, _bound_witness(leq)
@@ -263,7 +268,8 @@ def _glb_table(leq: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     by_rank = np.argsort(np.count_nonzero(leq, axis=0), kind="stable")
     rank = np.empty(n, dtype=np.min_scalar_type(n - 1))
     rank[by_rank] = np.arange(n)
-    table = leq * rank[:, None]  # 0 where a is not <= b: the bottom's rank
+    # 0 where a is not <= b: the bottom's rank; rows contiguous even for leq.T
+    table = np.multiply(leq, rank[:, None], order="C")
     level = _heights(n, lo, hi)[hi]
     order = np.lexsort((hi, level))  # by height, then by target
     lo, hi, level = lo[order], hi[order], level[order]
@@ -489,13 +495,17 @@ def lattice_from_leq(names, leq, ortho=None) -> Lattice:
     n = len(names)
     if leq.shape != (n, n):
         raise ValueError(f"order matrix must be {n}x{n}, got {leq.shape}")
-    bad = _order_witness(leq)
+    strict = leq & ~np.eye(n, dtype=bool)
+    through = _bool_product(strict, strict)
+    bad = _order_witness(leq, through)
     if bad is not None:
         raise NotALattice(f"order is not {bad[0]} at {bad[1]}", witness=bad[1])
-    return _certified(names, leq, ortho)
+    pairs = np.nonzero(strict & ~through)
+    del strict, through  # n² bytes each, freed before the tables are built
+    return _certified(names, leq, ortho, pairs)
 
 
-def _certified(names: tuple[str, ...], leq: np.ndarray, ortho, pairs=None) -> Lattice:
+def _certified(names: tuple[str, ...], leq: np.ndarray, ortho, pairs) -> Lattice:
     """Certify the bounds, meets and joins, and ``ortho``, of a partial order.
 
     ``pairs`` generate the order, as in :func:`_meet_join_tables`.  When
@@ -507,17 +517,17 @@ def _certified(names: tuple[str, ...], leq: np.ndarray, ortho, pairs=None) -> La
     bottom, top = _find_bounds(leq)
     if bottom is None or top is None:
         raise NotALattice("order has no minimum or no maximum element")
-    lo, hi = _cover_pairs(leq) if pairs is None else pairs
     ortho_arr = mirror = reversal = None
     if ortho is not None:
         ortho_arr, ar = np.array(ortho, dtype=np.int64), np.arange(n)
         permutes = ortho_arr.shape == (n,) and np.array_equal(np.sort(ortho_arr), ar)
         if permutes and np.array_equal(ortho_arr[ortho_arr], ar):
             # reversing each generating pair reverses every chain of them
+            lo, hi = pairs
             if not leq[ortho_arr[hi], ortho_arr[lo]].all():
                 reversal = _reversal_witness(leq, ortho_arr)
             mirror = ortho_arr if reversal is None else None
-    meet, join, pair = _meet_join_tables(leq, mirror, (lo, hi))
+    meet, join, pair = _meet_join_tables(leq, mirror, pairs)
     if pair is not None:
         raise NotALattice(
             f"pair ({names[pair[0]]!r}, {names[pair[1]]!r}) lacks a unique "
@@ -586,14 +596,14 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
             raise CycleError(f"self-cover on element {names[lo]!r}")
         lows.append(lo)
         highs.append(hi)
-    return _from_covers(names, lows, highs, ortho_pairs, names_checked=False)
+    return _from_covers(names, lows, highs, ortho_pairs)
 
 
-def _from_covers(names, lows, highs, ortho_pairs, names_checked: bool) -> Lattice:
+def _from_covers(names, lows, highs, ortho_pairs) -> Lattice:
     """Certify the lattice of covers whose indices are in range and not self-covers.
 
-    Unless ``names_checked``, the names are checked after the order and the
-    ortho pairs, as :func:`lattice_from_covers` has always reported them.
+    The names are checked after the order and the ortho pairs, as
+    :func:`lattice_from_covers` has always reported them.
     """
     n = len(names)
     leq = _closure_of_covers(n, zip(lows, highs))
@@ -620,9 +630,8 @@ def _from_covers(names, lows, highs, ortho_pairs, names_checked: bool) -> Lattic
                 f"ortho map is partial: {names[unpaired[0]]!r} has no complement"
             )
         ortho = perm
-    if not names_checked:
-        names = tuple(str(s) for s in names)
-        _check_names(names)
+    names = tuple(str(s) for s in names)
+    _check_names(names)
     pairs = np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
     return _certified(names, leq, ortho, pairs)
 
@@ -638,8 +647,8 @@ def parse_lattice(text: str) -> Lattice:
     ``cover <lo> <hi>``, ``ortho <x> <y>``.  ``#`` starts a comment.  The
     order is the reflexive-transitive closure of the covers; declared bounds
     are cross-checked against the inferred ones.  Names are split on
-    whitespace after ``#`` is cut, and checked printable and distinct here,
-    so the builder does not check them again.
+    whitespace after ``#`` is cut and checked printable and distinct line by
+    line, so the builder's own name check never fails on a parsed document.
     """
     names: list[str] = []
     index: dict[str, int] = {}
@@ -700,7 +709,7 @@ def parse_lattice(text: str) -> Lattice:
 
     if not names:
         raise ParseError("document declares no elements")
-    lat = _from_covers(tuple(names), lows, highs, ortho_pairs, names_checked=True)
+    lat = _from_covers(names, lows, highs, ortho_pairs)
     for kw, attr in (("bottom", lat.bottom), ("top", lat.top)):
         if kw in declared and index[declared[kw]] != attr:
             raise NotALattice(

@@ -82,6 +82,21 @@ def looped_check_names(names):
         seen.add(name)
 
 
+def naive_order_failure(leq):
+    """First failed partial-order axiom of a boolean matrix, checked entry by entry."""
+    n = len(leq)
+    for a in range(n):
+        if not leq[a][a]:
+            return ("reflexive", (a,))
+    for a, b in product(range(n), repeat=2):
+        if a != b and leq[a][b] and leq[b][a]:
+            return ("antisymmetric", (a, b))
+    for a, b in product(range(n), repeat=2):
+        if not leq[a][b] and any(leq[a][c] and leq[c][b] for c in range(n)):
+            return ("transitive", (a, b))
+    return None
+
+
 def warshall_closure(n, cover_pairs):
     """Reflexive-transitive closure of the covers (lo, hi) by Warshall's n steps."""
     leq = np.eye(n, dtype=bool)

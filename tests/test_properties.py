@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -134,6 +134,37 @@ def _unbounded_pairs(leq):
     return meets, joins, unbounded
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    broken=st.sampled_from(["nothing", "diagonal", "symmetry"]),
+    data=st.data(),
+)
+def test_order_matrix_axioms_match_the_naive_check(n, broken, data):
+    # a random relation upward along a random ranking, so each axiom in turn
+    # can be the first to fail: a missing diagonal entry, a symmetric pair,
+    # or a chain of two relations whose ends are not related
+    rank = data.draw(st.permutations(range(n)))
+    leq = np.eye(n, dtype=bool)
+    for a, b in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), max_size=3 * n)):
+        leq[(a, b) if rank[a] < rank[b] else (b, a)] = True
+    if broken == "diagonal":
+        leq[np.diag_indices(n)] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if broken == "symmetry" and n > 1:
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        leq[a, b] = leq[b, a] = True
+    expected = oracles.naive_order_failure(leq.tolist())
+    try:
+        lattice_from_leq([f"e{i}" for i in range(n)], leq)
+    except NotALattice as err:
+        if expected is not None:
+            assert str(err) == f"order is not {expected[0]} at {expected[1]}"
+            assert err.witness == expected[1]
+            return
+        assert not str(err).startswith("order is not")
+    assert expected is None
+
+
 @settings(max_examples=120, deadline=None)
 @given(leq=bounded_posets(), data=st.data())
 def test_random_posets_match_naive_bounds(leq, data):
@@ -185,7 +216,8 @@ def test_self_dual_posets_match_naive_bounds(poset):
     assert lattice_module._reversal_witness(leq, mirror) is None
     meets, joins, unbounded = _unbounded_pairs(leq)
     first = unbounded[0] if unbounded else None
-    meet, join, pair = lattice_module._meet_join_tables(leq, mirror)
+    covers = lattice_module._cover_pairs(leq)
+    meet, join, pair = lattice_module._meet_join_tables(leq, mirror, covers)
     assert pair == first
     if first is None:
         assert meet.tolist() == meets and join.tolist() == joins
@@ -291,22 +323,35 @@ def test_orthomodular_witness_matches_the_union_oracle(poset):
         assert expected is None
 
 
+# a bow tie, 4 and 5 below both 6 and 7, after a chain 1 < 2 < 3: the first
+# pair lacking a bound, (4, 5), lies past the first block of rows
+_LATE_BOW_TIE = oracles.warshall_closure(
+    10,
+    [(0, 1), (1, 2), (2, 3), (3, 9), (0, 4), (0, 5), (0, 8), (8, 9)]
+    + [(4, 6), (4, 7), (5, 6), (5, 7), (6, 9), (7, 9)],
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     poset=st.one_of(bounded_posets().map(lambda leq: (leq, None)), self_dual_posets()),
-    block_rows=st.integers(1, 4),
 )
-def test_blocked_tables_do_not_depend_on_the_block_size(poset, block_rows):
+@example(poset=(_LATE_BOW_TIE, None))
+def test_blocked_tables_do_not_depend_on_the_block_size(poset):
     leq, mirror = poset
-    meet, join, pair = lattice_module._meet_join_tables(leq, mirror)
-    # a uint8 rank row takes n bytes: the table fills block_rows pairs at a
-    # time, so a target's pairs split across chunks; the certificate, the
-    # mirror and the packed search take one row at a time
-    with mock.patch.object(lattice_module, "_BLOCK_BYTES", block_rows * leq.shape[0]):
-        blocked = lattice_module._meet_join_tables(leq, mirror)
-    assert blocked[2] == pair
-    if pair is None:
-        assert np.array_equal(blocked[0], meet) and np.array_equal(blocked[1], join)
+    covers = lattice_module._cover_pairs(leq)
+    meet, join, pair = lattice_module._meet_join_tables(leq, mirror, covers)
+    # a uint8 rank row takes n bytes, a uint64 row 8n: at one byte per
+    # column the table fills block_rows pairs at a time, so a target's pairs
+    # split across chunks; at eight, the certificate, the mirror and the
+    # packed search take blocks of block_rows rows
+    for row_bytes, block_rows in itertools.product((1, 8), (1, 2, 3, 4)):
+        cap = block_rows * row_bytes * leq.shape[0]
+        with mock.patch.object(lattice_module, "_BLOCK_BYTES", cap):
+            blocked = lattice_module._meet_join_tables(leq, mirror, covers)
+        assert blocked[2] == pair
+        if pair is None:
+            assert np.array_equal(blocked[0], meet) and np.array_equal(blocked[1], join)
 
 
 @settings(max_examples=150, deadline=None)
