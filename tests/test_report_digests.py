@@ -11,6 +11,7 @@ deliberate change to a report, rewrite that file with
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -29,9 +30,10 @@ from orthologic.cli import main
 DIGESTS = Path(__file__).with_name("report_digests.json")
 
 
-def shuffled_product(first, second, seed):
+def shuffled_product(factors, seed):
     """The product document with its element order and later lines shuffled by ``seed``."""
-    head, *body = serialize_lattice(direct_product(catalog(first), catalog(second))).splitlines()
+    product = functools.reduce(direct_product, map(catalog, factors))
+    head, *body = serialize_lattice(product).splitlines()
     keyword, *names = head.split()
     rng = random.Random(seed)
     rng.shuffle(names)
@@ -41,13 +43,20 @@ def shuffled_product(first, second, seed):
 
 DOCUMENTS = {
     "ten.lat": oracles.DUAL_FIRST_DOCUMENT,
-    "mo2xb2.lat": shuffled_product("MO2", "B2", 1),
-    "o6xb2.lat": shuffled_product("O6", "B2", 2),
-    "mo3xb4.lat": shuffled_product("MO3", "B4", 3),
-    "o6xmo2.lat": shuffled_product("O6", "MO2", 4),
-    "b8xmo2.lat": shuffled_product("B8", "MO2", 5),
+    "mo2xb2.lat": shuffled_product(("MO2", "B2"), 1),
+    "o6xb2.lat": shuffled_product(("O6", "B2"), 2),
+    "mo3xb4.lat": shuffled_product(("MO3", "B4"), 3),
+    "o6xmo2.lat": shuffled_product(("O6", "MO2"), 4),
+    "b8xmo2.lat": shuffled_product(("B8", "MO2"), 5),
 }
 LATTICES = ("B2", "B4", "B8", "MO2", "MO3", "O6", "MO2xB2", *DOCUMENTS)
+# n = 64..256: not orthomodular, an OML whose lemma fails, and a Boolean cube
+DOCUMENTS |= {
+    "o6xb8xb4.lat": shuffled_product(("O6", "B8", "B4"), 6),
+    "mo3xb8xb4.lat": shuffled_product(("MO3", "B8", "B4"), 7),
+    "b8xb8xb4.lat": shuffled_product(("B8", "B8", "B4"), 8),
+    "mo3xb8.lat": shuffled_product(("MO3", "B8"), 9),
+}
 
 COMMANDS = [
     *(("check", name) for name in LATTICES),
@@ -60,6 +69,10 @@ COMMANDS = [
     ("product", "ten.lat", "B2"),
     ("product", "mo2xb2.lat", "B2"),
     ("product", "o6xb2.lat", "B4"),
+    ("check", "o6xb8xb4.lat"),
+    ("check", "mo3xb8xb4.lat"),
+    ("check", "b8xb8xb4.lat"),
+    ("product", "mo3xb8.lat", "B4"),
     ("compat", "MO2", "a", "b"),
     ("compat", "MO2", "a", "a'"),
     ("compat", "MO2", "a", "1"),
