@@ -4,11 +4,14 @@ Two elements are compatible when the sublattice generated by them and their
 complements is distributive.  On an orthomodular lattice this is equivalent
 to the identity (a ^ b) v (~a ^ b) == b, and to the existence of a mutually
 orthogonal decomposition a = a' v c, b = b' v c.  An ortholattice is
-orthomodular exactly when comparable elements pass the identity, so a query
-builds the relation once and reads the law off it.  The definitional route
-is independent of the identity; the decomposition route builds its witness
-(a ^ ~b, b ^ ~a, a ^ b) from the identity, and the tests check it against
-an exhaustive search over all triples.
+orthomodular exactly when comparable elements pass the identity, so every
+query first evaluates it at the comparable pairs.  Only the queries that
+return entries of the relation then build it in full; the center is read
+off the atom columns, and the incompatibility lemma off the columns above
+one element.  The definitional route is independent of the identity; the
+decomposition route builds its witness (a ^ ~b, b ^ ~a, a ^ b) from the
+identity, and the tests check it against an exhaustive search over all
+triples.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from .errors import BadOrtho, NotOrthomodular
 from .lattice import (
     Lattice,
+    _central,
     _checked_indices,
     _identity_holds,
     _orthomodular_witness,
@@ -44,7 +48,15 @@ __all__ = [
 
 def require_orthomodular(lattice: Lattice) -> None:
     """Raise :class:`NotOrthomodular` unless the lattice satisfies the law and its dual."""
-    compatibility_relation(lattice)
+    if lattice.ortho is None:
+        raise NotOrthomodular("lattice has no orthocomplementation")
+    pair = _orthomodular_witness(lattice)
+    if pair is not None:
+        a, b = pair
+        raise NotOrthomodular(
+            f"lattice is not orthomodular at ({lattice.names[a]!r}, {lattice.names[b]!r})",
+            witness=pair,
+        )
 
 
 def is_compatible(lattice: Lattice, a: int, b: int) -> bool:
@@ -55,18 +67,9 @@ def is_compatible(lattice: Lattice, a: int, b: int) -> bool:
 
 
 def compatibility_relation(lattice: Lattice) -> np.ndarray:
-    """Pairwise compatibility matrix; :class:`NotOrthomodular` if it shows the law broken."""
-    if lattice.ortho is None:
-        raise NotOrthomodular("lattice has no orthocomplementation")
-    relation = _identity_holds(lattice)
-    pair = _orthomodular_witness(lattice, relation)
-    if pair is not None:
-        a, b = pair
-        raise NotOrthomodular(
-            f"lattice is not orthomodular at ({lattice.names[a]!r}, {lattice.names[b]!r})",
-            witness=pair,
-        )
-    return relation
+    """Pairwise compatibility matrix; :class:`NotOrthomodular` on other lattices."""
+    require_orthomodular(lattice)
+    return _identity_holds(lattice)
 
 
 def compatible_via_definition(lattice: Lattice, a: int, b: int) -> bool:
@@ -118,7 +121,7 @@ def incompatibility_witness(lattice: Lattice, q: int) -> int | None:
     if lattice.ortho is None:
         raise BadOrtho("incompatibility witness needs an orthocomplementation")
     _checked_indices(lattice.n, (q,))
-    bad = np.flatnonzero(~_identity_holds(lattice, b=q))
+    bad = np.flatnonzero(~_identity_holds(lattice, np.arange(lattice.n), q))
     return int(bad[0]) if bad.size else None
 
 
@@ -131,9 +134,9 @@ class CenterReport:
 
 
 def center(lattice: Lattice) -> CenterReport:
-    """All elements compatible with every element of the lattice."""
-    relation = compatibility_relation(lattice)
-    members = tuple(int(i) for i in np.flatnonzero(relation.all(axis=1)))
+    """All elements compatible with every element: those compatible with every atom."""
+    require_orthomodular(lattice)
+    members = tuple(int(i) for i in np.flatnonzero(_central(lattice)))
     trivial = set(members) == {lattice.bottom, lattice.top}
     return CenterReport(members=members, is_trivial=trivial)
 
@@ -153,14 +156,16 @@ def check_incompatible_lemma(
     otherwise.  A central a has no counterexample, and a non-central a has
     one with b the top, which is compatible with everything; so the first
     counterexample lies in the row of the first non-central element, and
-    only that row is scanned.
+    only the rows of that element and of those above it are evaluated.
     """
-    relation = compatibility_relation(lattice)
-    noncentral = np.flatnonzero(~relation.all(axis=1))
+    require_orthomodular(lattice)
+    noncentral = np.flatnonzero(~_central(lattice))
     if not noncentral.size:
         return True, None
     a = int(noncentral[0])
-    above = np.flatnonzero(lattice.leq[a])
-    above = above[above != a]
-    i, c = np.argwhere(relation[above] & ~relation[a])[0]
-    return False, (a, int(above[i]), int(c))
+    up = np.flatnonzero(lattice.leq[a])  # a and the elements above it
+    # holds[c, j]: c is compatible with up[j], by symmetry row up[j] of the
+    # relation; a's own row never holds where it fails
+    holds = _identity_holds(lattice, np.arange(lattice.n)[:, None], up)
+    j, c = np.argwhere(holds.T & ~holds[:, np.searchsorted(up, a)])[0]
+    return False, (a, int(up[j]), int(c))

@@ -14,10 +14,12 @@ otherwise they are the same program on the reversed order.  A document's
 order is the closure of its covers, built as one bitset per element; it is
 a partial order by construction, so only an order matrix given directly is
 checked for transitivity, by one packed boolean product that also gives its
-covers.  ``classify`` reads orthomodularity and then distributivity
-(Foulis-Holland) off the compatibility relation, and scans every triple
-only on other lattices.  Elements are identified by index; names are
-display metadata.  No floating point is used in this module.
+covers.  The structural scans evaluate the compatibility identity
+(a ^ b) v (~a ^ b) == b only where their answer needs it: orthomodularity at
+the comparable pairs, the center at the atoms, and distributivity
+(Foulis-Holland) in part of one row; every triple is scanned only on other
+lattices.  Elements are identified by index; names are display metadata.
+No floating point is used in this module.
 """
 
 from __future__ import annotations
@@ -391,50 +393,83 @@ def _ortho_witness(
     return None
 
 
-def _orthomodular_witness(lattice: Lattice, relation: np.ndarray) -> tuple[int, int] | None:
-    """First a <= b with b != a v (~a ^ b), or dual a != b ^ (~b v a), in ``relation``.
+def _orthomodular_witness(lattice: Lattice) -> tuple[int, int] | None:
+    """First a <= b with b != a v (~a ^ b), or dual a != b ^ (~b v a), or ``None``.
 
-    For a <= b :func:`_identity_holds` at (a, b) is the law; at (~b, ~a), the dual.
+    For a <= b :func:`_identity_holds` at (a, b) is the law and at (~b, ~a)
+    the dual, so only the comparable pairs are evaluated, in row-major order.
     """
     o = lattice.ortho
-    bad = lattice.leq & ~(relation & relation[np.ix_(o, o)].T)
+    a, b = np.divmod(np.flatnonzero(lattice.leq), lattice.n)
+    bad = ~(_identity_holds(lattice, a, b) & _identity_holds(lattice, o[b], o[a]))
     if bad.any():
-        a, b = np.argwhere(bad)[0]
-        return (int(a), int(b))
+        i = int(np.argmax(bad))
+        return (int(a[i]), int(b[i]))
     return None
 
 
 def _distributive_witness(
-    meet: np.ndarray, join: np.ndarray, members=None, rows=None
+    meet: np.ndarray, join: np.ndarray, members=None, rows=None, stop=None
 ) -> tuple[int, int, int] | None:
     """First triple of ``members`` violating a ^ (b v c) == (a ^ b) v (a ^ c).
 
     ``members`` is a sorted index array (default: every element) closed
     under meet and join; the scan holds one a-slice of the law at a time.
-    ``rows`` (default: ``members``) limits the a-slices scanned.
+    ``rows`` (default: ``members``) limits the a-slices scanned, and ``stop``
+    (default: none) each slice to b among the first ``stop`` members.
     """
+    n, flat_join = meet.shape[0], join.ravel()
     if members is None:
-        members, bc_join = np.arange(meet.shape[0]), join
+        members, bc_join = np.arange(n), join
     else:
         bc_join = join[np.ix_(members, members)]
+    bc_join = bc_join[:stop]
     for a in members if rows is None else rows:
-        ab = meet[a, members]
-        bad = meet[a, bc_join] != join[ab[:, None], ab[None, :]]
+        ab = meet[a].take(members)
+        bad = meet[a].take(bc_join) != flat_join.take(ab[:stop, None] * n + ab)
         if bad.any():
             b, c = np.argwhere(bad)[0]
             return (int(a), int(members[b]), int(members[c]))
     return None
 
 
-def _identity_holds(lattice: Lattice, b=slice(None)):
-    """(a ^ b) v (~a ^ b) == b for every a, and every b or the one given.
+def _identity_holds(lattice: Lattice, a=None, b=None) -> np.ndarray:
+    """(a ^ b) v (~a ^ b) == b at index arrays ``a`` and ``b``, broadcast together.
 
-    On an orthomodular lattice this is compatibility of a and b, and over all
-    pairs it also decides orthomodularity (:func:`_orthomodular_witness`).
-    A slice, unlike a broadcast index array, reads ``meet`` in place.
+    Omitted, they are every pair, as an n x n matrix with ``a`` down the
+    rows; ``meet`` is then read in place and gathered by rows, the faster
+    way for the whole table, and otherwise through flat indices, the faster
+    way for index arrays.  (a ^ b, ~a ^ b) is one flat index into ``join``.
+    On an orthomodular lattice the identity is compatibility of a and b,
+    which is symmetric.
     """
-    meet, join, ortho = lattice.meet, lattice.join, lattice.ortho
-    return join[meet[:, b], meet[ortho, b]] == np.arange(lattice.n)[b]
+    n, meet, ortho = lattice.n, lattice.meet, lattice.ortho
+    if a is None:
+        b = np.arange(n)
+        lower = meet * n
+        lower += meet[ortho]
+    else:
+        flat = meet.ravel()
+        lower = flat.take(a * n + b) * n + flat.take(ortho.take(a) * n + b)
+    joined = lattice.join.ravel().take(lower)
+    del lower  # one n x n int64 array fewer held by the comparison
+    return joined == b
+
+
+def _atoms(lattice: Lattice) -> np.ndarray:
+    """The atoms in index order: the elements with only the bottom strictly below."""
+    return np.flatnonzero(np.count_nonzero(lattice.leq, axis=0) == 2)
+
+
+def _central(lattice: Lattice) -> np.ndarray:
+    """Mask of the center of an orthomodular lattice: the elements compatible with every atom.
+
+    The elements compatible with c form a sub-orthomodular lattice, and in a
+    finite one every element is the join of the atoms below it, so c is
+    compatible with everything once it is compatible with every atom.
+    """
+    every = np.arange(lattice.n)[:, None]
+    return _identity_holds(lattice, every, _atoms(lattice)).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -749,26 +784,31 @@ def classify(lattice: Lattice) -> PropertyReport:
 
     Every :class:`Lattice` comes from a checked builder, so it is a bounded
     lattice and its ortho map, when present, is an orthocomplementation;
-    those flags are read off.  Orthomodularity is read off the compatibility
-    relation.  On an orthomodular lattice a triple is distributive when one
-    element is compatible with the other two (Foulis-Holland), so a central
-    row has no violation and a non-central row a has one at (a, b, ~b) for
-    any b incompatible with a: the first violating triple lies in the first
-    non-central row, and only that row is scanned.  Other lattices get the
-    scan over all triples.
+    those flags are read off.  Orthomodularity is the compatibility identity
+    at every comparable pair.  On an orthomodular lattice a triple is
+    distributive when one element is compatible with the other two
+    (Foulis-Holland), so a central row has no violation, and the row of a
+    non-central a has one at (a, b0, ~b0), where b0 is the first element
+    incompatible with a.  The first violating triple therefore lies in the
+    row of the first non-central element, at some b <= b0, and only those
+    b are scanned; finding them takes the atom columns of the center and
+    the one column b0 of the relation.  Other lattices get the scan over all
+    triples.
     """
     witnesses: list[tuple[str, tuple[int, ...]]] = []
-    pair = rows = None
+    pair = rows = stop = None
     if lattice.ortho is None:
         witnesses += [("orthocomplemented", ()), ("orthomodular", ())]
     else:
-        relation = _identity_holds(lattice)
-        pair = _orthomodular_witness(lattice, relation)
+        pair = _orthomodular_witness(lattice)
         if pair is not None:
             witnesses.append(("orthomodular", pair))
         else:
-            rows = np.flatnonzero(~relation.all(axis=1))[:1]
-    triple = _distributive_witness(lattice.meet, lattice.join, rows=rows)
+            rows = np.flatnonzero(~_central(lattice))[:1]
+            if rows.size:
+                column = _identity_holds(lattice, np.arange(lattice.n), rows[0])
+                stop = int(np.argmin(column)) + 1
+    triple = _distributive_witness(lattice.meet, lattice.join, rows=rows, stop=stop)
     if triple is not None:
         witnesses.append(("distributive", triple))
     return PropertyReport(

@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .analysis import center, compatibility_relation
 from .errors import NotAState, TooLarge
-from .lattice import Lattice
+from .lattice import Lattice, _atoms
 
 __all__ = [
     "DispersionFreeReport",
@@ -139,10 +137,8 @@ def enumerate_dispersion_free(lattice: Lattice) -> DispersionFreeReport:
             f"{lattice.n} elements exceeds the enumeration cap {MAX_ENUMERATION_SIZE}"
         )
     report = center(lattice)
-    leq = lattice.leq
-    rows = sorted(
-        tuple(leq[m].tolist()) for m in report.members if leq[:, m].sum() == 2
-    )
+    atoms = set(_atoms(lattice).tolist())
+    rows = sorted(tuple(lattice.leq[m].tolist()) for m in report.members if m in atoms)
     zero_one = (Fraction(0), Fraction(1))
     states = tuple(LatticeState(tuple(zero_one[v] for v in row)) for row in rows)
     return DispersionFreeReport(

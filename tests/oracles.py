@@ -210,9 +210,34 @@ def naive_compatibility_matrix(lat):
     ]
 
 
+def identity_relation(lat):
+    """The n x n relation (a ^ b) v (~a ^ b) == b, by one gather chain over every pair."""
+    return lat.join[lat.meet, lat.meet[lat.ortho]] == np.arange(lat.n)
+
+
+def relation_center(lat):
+    """The rows of the relation that hold everywhere, on an orthomodular lattice."""
+    return tuple(int(i) for i in np.flatnonzero(identity_relation(lat).all(axis=1)))
+
+
+def relation_distributive_witness(lat):
+    """First violating triple of an orthomodular lattice, from its first non-central row.
+
+    By Foulis-Holland a central row has no violation and a non-central row
+    has one, so the whole row of the first non-central element is scanned.
+    """
+    noncentral = np.flatnonzero(~identity_relation(lat).all(axis=1))
+    if not noncentral.size:
+        return None
+    a = int(noncentral[0])
+    row = lat.meet[a]
+    b, c = np.argwhere(row[lat.join] != lat.join[row[:, None], row[None, :]])[0]
+    return (a, int(b), int(c))
+
+
 def looped_incompatible_lemma(lat):
     """First a < b with c incompatible to a but compatible to b, a row at a time."""
-    relation = compatibility_relation(lat)
+    relation = identity_relation(lat)
     strict = lat.leq & ~np.eye(lat.n, dtype=bool)
     for a in range(lat.n):
         above = np.flatnonzero(strict[a])

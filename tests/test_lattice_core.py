@@ -827,19 +827,27 @@ def _cube(*names):
 
 
 def test_classify_scans_at_most_one_distributive_row(monkeypatch):
+    # on an OML: the row of the first non-central a, and in it only the b up
+    # to b0, the first element incompatible with a, since (a, b0, b0') violates
     full_scan, scanned = lattice_module._distributive_witness, []
 
-    def counted(meet, join, members=None, rows=None):
-        scanned.append(meet.shape[0] if rows is None else len(rows))
-        return full_scan(meet, join, members, rows)
+    def counted(meet, join, members=None, rows=None, stop=None):
+        a_rows = meet.shape[0] if rows is None else len(rows)
+        scanned.append((a_rows, meet.shape[0] if stop is None else stop))
+        return full_scan(meet, join, members, rows, stop)
 
     monkeypatch.setattr(lattice_module, "_distributive_witness", counted)
     boolean, mixed = _cube("B8", "B8", "B8"), _cube("MO3", "B8", "B8")
     assert boolean.n == mixed.n == 512
     assert classify(boolean).all_true
-    assert dict(classify(mixed).witnesses)["distributive"][0] == 64  # (a,0,0)
+    relation = oracles.identity_relation(mixed)
+    a = int(np.flatnonzero(~relation.all(axis=1))[0])
+    b0 = int(np.flatnonzero(~relation[a])[0])
+    assert (mixed.names[a], mixed.names[b0]) == ("((a,0),0)", "((b,0),0)")
+    witness = dict(classify(mixed).witnesses)["distributive"]
+    assert witness[0] == a and witness[1] <= b0
     classify(catalog("O6"))  # not orthomodular: every row
-    assert scanned == [0, 1, 6]
+    assert scanned == [(0, 512), (1, b0 + 1), (6, 6)]
 
 
 def test_certifying_512_elements_stays_within_blocks():

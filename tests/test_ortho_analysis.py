@@ -242,33 +242,63 @@ def test_orthomodular_witnesses_on_catalog_products_and_relabellings():
             assert_witnesses_match_the_references(oracles.relabelled(lat, rng), naive=False)
 
 
-FULL_RELATION_QUERIES = {
-    "classify": classify,
+RELATION_QUERIES = {
     "compatibility_relation": compatibility_relation,
-    "require_orthomodular": require_orthomodular,
     "is_compatible": lambda lat: is_compatible(lat, 1, 2),
     "compatible_decomposition": lambda lat: compatible_decomposition(lat, 1, 2),
+}
+STRUCTURAL_QUERIES = {
+    "classify": classify,
+    "require_orthomodular": require_orthomodular,
     "center": center,
     "check_incompatible_lemma": check_incompatible_lemma,
 }
+COUNTED_LATTICES = {
+    "MO2xB2": lambda: catalog("MO2xB2"),
+    "O6": lambda: catalog("O6"),
+    "MO3xB8xB4": lambda: direct_product(direct_product(catalog("MO3"), catalog("B8")), catalog("B4")),
+}
 
 
-@pytest.mark.parametrize("lattice_name", ["MO2xB2", "O6"])
-@pytest.mark.parametrize("query", FULL_RELATION_QUERIES)
-def test_each_query_evaluates_the_identity_once(monkeypatch, query, lattice_name):
-    kernel = lattice_module._identity_holds
-    full = []
+def identity_cells(monkeypatch, query, lat):
+    """The number of pairs each evaluation of the identity covers while ``query`` runs."""
+    kernel, cells = lattice_module._identity_holds, []
 
-    def counted(lattice, *args, **kwargs):
-        if not args and not kwargs:
-            full.append(lattice)
-        return kernel(lattice, *args, **kwargs)
+    def counted(lattice, *args):
+        holds = kernel(lattice, *args)
+        cells.append(np.size(holds))
+        return holds
 
     for module in (lattice_module, analysis_module):
         monkeypatch.setattr(module, "_identity_holds", counted)
     with contextlib.suppress(NotOrthomodular):
-        FULL_RELATION_QUERIES[query](catalog(lattice_name))
-    assert len(full) == 1
+        query(lat)
+    return cells
+
+
+@pytest.mark.parametrize("lattice_name", COUNTED_LATTICES)
+@pytest.mark.parametrize("query", RELATION_QUERIES)
+def test_relation_queries_fill_n2_once(monkeypatch, query, lattice_name):
+    # an OML gets the verdict, read off its comparable pairs, and then one
+    # evaluation over all n x n pairs; O6 is refused before that one
+    lat = COUNTED_LATTICES[lattice_name]()
+    cells = identity_cells(monkeypatch, RELATION_QUERIES[query], lat)
+    built = 0 if lattice_name == "O6" else 1
+    assert cells.count(lat.n**2) == built
+    assert sum(cells) - built * lat.n**2 < lat.n**2
+
+
+@pytest.mark.parametrize("lattice_name", COUNTED_LATTICES)
+@pytest.mark.parametrize("query", STRUCTURAL_QUERIES)
+def test_structural_queries_skip_n2(monkeypatch, query, lattice_name):
+    # no evaluation covers all n x n pairs; at n=256 the comparable pairs,
+    # the atom columns and one column of the relation or the lemma's columns
+    # add up to fewer pairs than the relation has
+    lat = COUNTED_LATTICES[lattice_name]()
+    cells = identity_cells(monkeypatch, STRUCTURAL_QUERIES[query], lat)
+    assert cells and max(cells) < lat.n**2
+    if lattice_name == "MO3xB8xB4":
+        assert sum(cells) < lat.n**2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cross-module property tests on randomly assembled inputs."""
 
 import itertools
+from functools import reduce
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from orthologic import lattice as lattice_module
 from orthologic import (
+    CATALOG_NAMES,
     BadOrtho,
     CycleError,
     NotALattice,
@@ -19,6 +21,7 @@ from orthologic import (
     OrthologicError,
     catalog,
     center,
+    check_incompatible_lemma,
     classify,
     compatibility_relation,
     compatible_decomposition,
@@ -31,6 +34,7 @@ from orthologic import (
     lattice_from_covers,
     lattice_from_leq,
     parse_lattice,
+    require_orthomodular,
     serialize_lattice,
 )
 
@@ -407,6 +411,109 @@ def test_greechie_rings_have_closed_form_answers(k, seed):
     witness = dict(classify(lat).witnesses)["distributive"]
     assert witness[0] == min(set(range(lat.n)) - set(bounds))
     assert witness == lattice_module._distributive_witness(lat.meet, lat.join)
+
+
+# ---------------------------------------------------------------------------
+# the structural queries against the whole compatibility relation
+
+
+def assert_queries_match_the_relation(lat):
+    """Verdict, center, lemma and distributive witness as the n x n relation gives them."""
+    expected = oracles.chained_orthomodular_witness(lat)
+    assert dict(classify(lat).witnesses).get("orthomodular") == expected
+    if expected is not None:
+        a, b = expected
+        message = f"lattice is not orthomodular at ({lat.names[a]!r}, {lat.names[b]!r})"
+        for query in (require_orthomodular, compatibility_relation, center, check_incompatible_lemma):
+            with pytest.raises(NotOrthomodular) as err:
+                query(lat)
+            assert (str(err.value), err.value.witness) == (message, expected)
+        return
+    assert center(lat).members == oracles.relation_center(lat)
+    assert check_incompatible_lemma(lat) == oracles.looped_incompatible_lemma(lat)
+    distributive = dict(classify(lat).witnesses).get("distributive")
+    assert distributive == oracles.relation_distributive_witness(lat)
+
+
+def assert_center_is_read_off_the_atoms(lat):
+    """In a finite OML c is central iff it is compatible with every atom.
+
+    The elements compatible with c are closed under meet, join and
+    complement, and every element is the join of the atoms below it.
+    """
+    relation = oracles.identity_relation(lat)
+    atoms = [m for m in range(lat.n) if m != lat.bottom
+             and {x for x in range(lat.n) if lat.leq[x, m]} == {lat.bottom, m}]
+    assert lattice_module._atoms(lat).tolist() == atoms
+    assert np.array_equal(relation[:, atoms].all(axis=1), relation.all(axis=1))
+    for x in range(lat.n):
+        joined = lat.bottom
+        for m in atoms:
+            if lat.leq[m, x]:
+                joined = int(lat.join[joined, m])
+        assert joined == x
+    for c in range(lat.n):
+        members = np.flatnonzero(relation[c])
+        grid = np.ix_(members, members)
+        assert relation[c, lat.meet[grid]].all() and relation[c, lat.join[grid]].all()
+        assert relation[c, lat.ortho[members]].all()
+
+
+def _ortholattice_or_none(poset):
+    leq, mirror = poset
+    try:
+        return lattice_from_leq([f"e{i}" for i in range(leq.shape[0])], leq, mirror)
+    except (NotALattice, BadOrtho):
+        return None
+
+
+def _relabelled(build, *args):
+    """``build`` applied to drawn ``args``, its elements in a drawn order."""
+    def relabel(seed, *drawn):
+        return oracles.relabelled(build(*drawn), np.random.default_rng(seed))
+
+    return st.builds(relabel, st.integers(0, 2**32 - 1), *args)
+
+
+_catalog_and_products = _relabelled(
+    lambda names: reduce(direct_product, map(catalog, names)),
+    st.sampled_from([(a,) for a in CATALOG_NAMES] + list(itertools.product(CATALOG_NAMES, repeat=2))),
+)
+_rings = _relabelled(lambda k: oracles.greechie_pasting(oracles.greechie_ring(k)), st.integers(5, 40))
+# two blocks sharing the atom c, which is central
+_two_chains = _relabelled(lambda: oracles.greechie_pasting(("abc", "cde")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lat=st.one_of(
+        self_dual_posets().map(_ortholattice_or_none), _catalog_and_products, _rings, _two_chains
+    )
+)
+def test_structural_queries_match_the_whole_relation(lat):
+    if lat is None:
+        return
+    assert_queries_match_the_relation(lat)
+    if oracles.chained_orthomodular_witness(lat) is None:
+        assert_center_is_read_off_the_atoms(lat)
+
+
+def test_two_chains_have_a_central_atom():
+    chain = oracles.greechie_pasting(("abc", "cde"))
+    assert [chain.names[i] for i in center(chain).members] == ["0", "c", "c'", "1"]
+    assert_center_is_read_off_the_atoms(chain)
+
+
+def test_structural_queries_match_the_relation_on_the_catalog_and_its_products():
+    rng = np.random.default_rng(18)
+    for first in CATALOG_NAMES:
+        assert_queries_match_the_relation(catalog(first))
+        for second in CATALOG_NAMES:
+            lat = direct_product(catalog(first), catalog(second))
+            assert_queries_match_the_relation(lat)
+            assert_queries_match_the_relation(oracles.relabelled(lat, rng))
+            if classify(lat).is_orthomodular:
+                assert_center_is_read_off_the_atoms(lat)
 
 
 # ---------------------------------------------------------------------------
