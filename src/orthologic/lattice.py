@@ -208,10 +208,15 @@ def _find_bounds(leq: np.ndarray) -> tuple[int | None, int | None]:
     return bottom, top
 
 
+def _true_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a square boolean matrix, in the same order; about twice as fast."""
+    return np.divmod(np.flatnonzero(m), m.shape[1])
+
+
 def _cover_pairs(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hasse covers (lo, hi) of a partial order, ``strict & ~strict²``, in row order."""
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    return np.nonzero(strict & ~_bool_product(strict, strict))
+    return _true_pairs(strict & ~_bool_product(strict, strict))
 
 
 def _meet_join_tables(
@@ -535,7 +540,7 @@ def lattice_from_leq(names, leq, ortho=None) -> Lattice:
     bad = _order_witness(leq, through)
     if bad is not None:
         raise NotALattice(f"order is not {bad[0]} at {bad[1]}", witness=bad[1])
-    pairs = np.nonzero(strict & ~through)
+    pairs = _true_pairs(strict & ~through)
     del strict, through  # n² bytes each, freed before the tables are built
     return _certified(names, leq, ortho, pairs)
 

@@ -75,11 +75,14 @@ def run_detection_protocol(config: ProtocolConfig) -> ProtocolStats:
         )
         for start in range(0, rounds, _CHUNK):
             n = min(_CHUNK, rounds - start)
-            on = active.random(n) < config.eavesdrop_fraction
             # a wrong-basis interception leaves the receiver with a coin flip
             scrambled = eve_basis.integers(0, 2, n, np.uint8) ^ basis.integers(0, 2, n, np.uint8)
             flipped = coin.integers(0, 2, n, np.uint8) ^ bit.integers(0, 2, n, np.uint8)
-            disagreements += int(np.count_nonzero(on & scrambled & flipped))
+            hits = scrambled & flipped
+            # at fraction 1 every round is intercepted, and no other stream reads `active`
+            if config.eavesdrop_fraction < 1.0:
+                hits &= active.random(n) < config.eavesdrop_fraction
+            disagreements += int(np.count_nonzero(hits))
     return ProtocolStats(
         rounds=rounds,
         compared=rounds,

@@ -37,7 +37,14 @@ from .errors import (
     NotOrthomodular,
     NotUnique,
 )
-from .lattice import _BLOCK_BYTES, Lattice, _checked_indices, _element_index, lattice_from_leq
+from .lattice import (
+    _BLOCK_BYTES,
+    Lattice,
+    _checked_indices,
+    _element_index,
+    _row_blocks,
+    lattice_from_leq,
+)
 from .states import LatticeState
 
 __all__ = [
@@ -253,6 +260,26 @@ def _matched(stack: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return matched
 
 
+def _order_and_complement(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusion ``P_i <= P_j`` and the index of each ``I - P_i``, by the rules of ``TOL``.
+
+    Rows go in blocks whose (rows, n, d, d) transients fit ``_BLOCK_BYTES``;
+    one matmul of the whole stack against a block gives every ``P_j P_i``.
+    Every complement was added to the stack, so each row matches some element.
+    """
+    n, dim = stack.shape[:2]
+    flat, eye = stack.reshape(n * dim, dim), np.eye(dim)
+    leq, ortho = np.empty((n, n), dtype=bool), np.empty(n, dtype=np.int64)
+    for rows in _row_blocks(n, n, 2 * dim * dim):
+        # block[r, i, c] = (P_i)_rc and products[j, r, i, c] = (P_j P_i)_rc
+        block = stack[rows].transpose(1, 0, 2)
+        products = (flat @ block.reshape(dim, -1)).reshape(n, dim, -1, dim)
+        leq[rows] = (np.linalg.norm(products - block, axis=(1, 3)) <= TOL).T
+        near = np.linalg.norm(stack - (eye - stack[rows])[:, None], axis=(2, 3)) <= TOL
+        ortho[rows] = np.argmax(near, axis=1)  # the first match, as in _match
+    return leq, ortho
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectorLattice:
     """A finite orthomodular lattice whose elements carry projectors.
@@ -371,8 +398,7 @@ def projector_lattice(
     order = np.argsort(np.rint(np.trace(stack, axis1=1, axis2=2).real), kind="stable")
     stack = stack[order]
     labels = [labels[i] for i in order]
-    leq = np.array([np.linalg.norm(stack @ p - p, axis=(1, 2)) <= TOL for p in stack])
-    ortho = np.array([_match(stack, eye - p) for p in stack], dtype=np.int64)
+    leq, ortho = _order_and_complement(stack)
 
     final_names: list[str] = []
     seen: set[str] = set()
@@ -462,28 +488,50 @@ def born_state(pl: ProjectorLattice, rho) -> LatticeState:
     return LatticeState(tuple(values))
 
 
-def _luders(projectors: np.ndarray, rho: np.ndarray, steps) -> np.ndarray:
-    """Joint probability of ``steps`` under chained Luders updates.
+def _effect(projectors: np.ndarray, element, answer: bool) -> np.ndarray:
+    """The projector E an answer applies: P for true, I - P for false."""
+    p = projectors[element]
+    return p if answer else np.eye(p.shape[-1]) - p
 
-    Each step sandwiches the unnormalized state with P (answer true) or
-    I - P (answer false); the final trace is the joint probability.  No
-    intermediate renormalization takes place.  A step's element may be an
-    index array into the stacked ``projectors``; the steps then broadcast
-    and so does the result.
-    """
-    eye = np.eye(rho.shape[-1])
-    sigma = rho
+
+def _updated(projectors: np.ndarray, sigma: np.ndarray, steps) -> np.ndarray:
+    """The unnormalized state after the Luders updates ``steps``: each sandwiches it with E."""
     for element, answer in steps:
-        p = projectors[element]
-        e = p if answer else eye - p
+        e = _effect(projectors, element, answer)
         sigma = e @ sigma @ e
-    return np.clip(np.trace(sigma, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    return sigma
 
 
-def _agreement(projectors: np.ndarray, rho: np.ndarray, probe, intermediate=None) -> np.ndarray:
+def _luders(projectors: np.ndarray, sigma: np.ndarray, steps) -> np.ndarray:
+    """Joint probability of ``steps`` under chained Luders updates of ``sigma``.
+
+    ``sigma`` is an unnormalized state: the preparation, or what a shared
+    prefix of answers left of it (:func:`_updated`), so that many sequences
+    with one prefix update it once.  Each step but the last sandwiches the
+    state with P (answer true) or I - P (answer false), with no
+    renormalization; the last needs no post-measurement state and is read as
+    tr(E sigma), which equals tr(E sigma E) for a projector E.  A step's
+    element may be an index array into the stacked ``projectors``; the steps
+    and the leading axes of ``sigma`` then broadcast and so does the result.
+    """
+    if not steps:
+        return np.clip(np.trace(sigma, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    *prefix, (element, answer) = steps
+    e = _effect(projectors, element, answer)
+    traced = np.einsum("...ij,...ji->...", e, _updated(projectors, sigma, prefix))
+    return np.clip(traced.real, 0.0, 1.0)
+
+
+def _answered(projectors: np.ndarray, rho: np.ndarray, probe) -> dict[bool, np.ndarray]:
+    """The unnormalized states ``rho`` is left in when ``probe`` answers true and false."""
+    return {a: _updated(projectors, rho, [(probe, a)]) for a in (True, False)}
+
+
+def _agreement(projectors: np.ndarray, answered, probe, intermediate=None) -> np.ndarray:
+    """Probability that ``probe`` answers alike twice, from its states ``answered``."""
     middles = [[]] if intermediate is None else [[(intermediate, b)] for b in (True, False)]
     total = sum(
-        _luders(projectors, rho, [(probe, a), *middle, (probe, a)])
+        _luders(projectors, answered[a], [*middle, (probe, a)])
         for a in (True, False)
         for middle in middles
     )
@@ -504,7 +552,9 @@ def isolated_check(
     """Probability that two probe inquiries agree, marginalizing the middle one."""
     rho = validate_density_matrix(rho, dim=pl.dim)
     _checked_indices(pl.n, (probe,) if intermediate is None else (probe, intermediate))
-    return float(_agreement(np.asarray(pl.projectors), rho, probe, intermediate))
+    projectors = np.asarray(pl.projectors)
+    answered = _answered(projectors, rho, probe)
+    return float(_agreement(projectors, answered, probe, intermediate))
 
 
 def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
@@ -518,14 +568,20 @@ def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reconstruction from the probability oracle: one element ``a`` against every
-# ``b`` per kernel call, at the maximally mixed preparation (valid by construction)
+# reconstruction from the probability oracle, at the maximally mixed
+# preparation (valid by construction).  Every clause about ``a`` and ``b``
+# starts with ``a`` answered, so each row ``a`` updates the preparation once
+# per answer and reads every ``b`` from those two states, a block of rows
+# per kernel call.
 
 
-def _certain(projectors: np.ndarray, rho: np.ndarray, condition, question):
-    """Is ``question`` certain given ``condition``?  A null condition makes it so."""
-    den = _luders(projectors, rho, condition)
-    num = _luders(projectors, rho, [*condition, question])
+def _certain(projectors: np.ndarray, sigma: np.ndarray, question) -> np.ndarray:
+    """Is ``question`` certain in the state ``sigma`` that a condition left?
+
+    A null condition, of probability ``tr(sigma) <= TOL``, makes it so.
+    """
+    den = _luders(projectors, sigma, [])
+    num = _luders(projectors, sigma, [question])
     ratio = np.divide(num, den, out=np.ones_like(num), where=den > TOL)
     return np.abs(ratio - 1.0) <= TOL
 
@@ -538,19 +594,23 @@ def infer_order(pl: ProjectorLattice) -> np.ndarray:
     the maximally mixed preparation.  Must reproduce subspace inclusion.
     """
     projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
-    return np.array([
-        _certain(projectors, mm, [(a, True)], (every, True))
-        & (np.abs(_agreement(projectors, mm, a, every) - 1.0) <= TOL)
-        for a in range(pl.n)
-    ])
+    leq = np.empty((pl.n, pl.n), dtype=bool)
+    # a block's largest transient is one (rows, n, d, d) complex stack: 2 d^2 words per entry
+    for rows in _row_blocks(pl.n, pl.n, 2 * pl.dim**2):
+        a = every[rows, None]
+        answered = _answered(projectors, mm, a)
+        stable = np.abs(_agreement(projectors, answered, a, every) - 1.0) <= TOL
+        leq[rows] = _certain(projectors, answered[True], (every, True)) & stable
+    return leq
 
 
 def infer_complement(pl: ProjectorLattice, a: int) -> int:
     """The unique element answering opposite to ``a`` with certainty, both ways."""
     _checked_indices(pl.n, (a,))
     projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
-    flipped = _certain(projectors, mm, [(a, True)], (every, False))
-    restored = _certain(projectors, mm, [(a, False)], (every, True))
+    answered = _answered(projectors, mm, a)
+    flipped = _certain(projectors, answered[True], (every, False))
+    restored = _certain(projectors, answered[False], (every, True))
     matches = np.flatnonzero(flipped & restored)
     if not matches.size:
         raise NoComplement(f"no element complements {pl.lattice.names[a]!r}")

@@ -5,7 +5,8 @@ vectorized implementations have something honest to disagree with.
 ``backtrack_dispersion_free`` is a constraint-propagating search that reaches
 the two-valued states without the central-atom closed form the library uses.
 The projector oracles combine every pair in every closure round and ask the
-public probability oracle one (a, b) pair at a time.
+public probability oracle one (a, b) pair at a time.  The protocol oracle
+draws every random stream in every chunk.
 """
 
 from itertools import product
@@ -530,3 +531,31 @@ def luders_infer_complement(pl, a):
     if len(matches) > 1:
         raise NotUnique(f"multiple complements for {name!r}: {[pl.lattice.names[b] for b in matches]}")
     return matches[0]
+
+
+def drawn_protocol_disagreements(config, chunk=1 << 16):
+    """Disagreements of ``run_detection_protocol``, drawing every stream in every chunk.
+
+    Unlike the library, it draws the ``active`` stream at fraction 1 too, so
+    the two agree only if no other stream depends on those draws.
+    """
+    root = np.random.Philox(key=config.seed)
+    basis, bit, active, eve_basis, coin = (np.random.Generator(root.jumped(i)) for i in range(5))
+    disagreements = 0
+    for start in range(0, config.rounds, chunk):
+        n = min(chunk, config.rounds - start)
+        on = active.random(n) < config.eavesdrop_fraction
+        scrambled = eve_basis.integers(0, 2, n, np.uint8) ^ basis.integers(0, 2, n, np.uint8)
+        flipped = coin.integers(0, 2, n, np.uint8) ^ bit.integers(0, 2, n, np.uint8)
+        disagreements += int(np.count_nonzero(on & scrambled & flipped))
+    return disagreements
+
+
+def sandwiched_probability(pl, rho, steps):
+    """Joint probability of ``steps``: each answer sandwiches the state, then one trace."""
+    eye = np.eye(pl.dim)
+    sigma = np.asarray(rho, dtype=complex)
+    for element, answer in steps:
+        e = pl.projector(element) if answer else eye - pl.projector(element)
+        sigma = e @ sigma @ e
+    return float(np.trace(sigma).real)

@@ -284,6 +284,24 @@ def test_the_meet_certificate_fails_exactly_on_non_lattices(leq):
         assert lattice_module._bound_witness(leq) == unbounded[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    leq=st.one_of(bounded_posets(), self_dual_posets().map(lambda poset: poset[0])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairs_come_in_the_order_of_nonzero(leq, seed):
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    covers = strict & ~(strict.astype(np.int64) @ strict.astype(np.int64) > 0)
+    # besides the covers of an order, a random matrix of up to 139 rows
+    gen = np.random.default_rng(seed)
+    noise = gen.random((int(gen.integers(0, 140)),) * 2) < 0.3
+    cases = ((lattice_module._cover_pairs(leq), covers), (lattice_module._true_pairs(noise), noise))
+    for got, matrix in cases:
+        expected = np.nonzero(matrix)
+        assert [x.dtype for x in got] == [x.dtype for x in expected]
+        assert [x.tolist() for x in got] == [x.tolist() for x in expected]
+
+
 _NAME_CHARS = st.sampled_from(
     ["a", "0", "(", ",", "é", " ", "\t", "\n", "#", "\x00", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 )

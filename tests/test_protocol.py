@@ -5,6 +5,8 @@ import pytest
 
 from orthologic import ProtocolConfig, ProtocolStats, protocol, run_detection_protocol
 
+import oracles
+
 
 def test_quiet_channel_never_disagrees():
     stats = run_detection_protocol(ProtocolConfig(rounds=100_000, seed=7))
@@ -127,3 +129,16 @@ def test_rate_within_binomial_bound(fraction):
     p = fraction / 4
     spread = 6 * math.sqrt(rounds * p * (1 - p))
     assert abs(run_detection_protocol(config).disagreements - rounds * p) <= spread
+
+
+@pytest.mark.parametrize("fraction", [0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 7])
+@pytest.mark.parametrize("rounds", [1, 4099, 2 * 4096 + 13])
+def test_counts_match_drawing_every_stream(monkeypatch, fraction, seed, rounds):
+    # rounds are not multiples of the chunk, so the last chunk is short
+    monkeypatch.setattr(protocol, "_CHUNK", 4096)
+    config = ProtocolConfig(
+        rounds=rounds, seed=seed, eavesdrop_fraction=fraction, strategy="intercept-resend"
+    )
+    expected = oracles.drawn_protocol_disagreements(config, chunk=4096)
+    assert run_detection_protocol(config).disagreements == expected

@@ -473,11 +473,60 @@ def test_preset_compatibility_is_commutation(preset):
     _assert_compatibility_is_commutation(QUANTUM_PRESETS[preset]())
 
 
-def test_reconstruction_matches_luders_oracles(closure_case):
-    pl, _ = closure_case
+def _assert_reconstruction_matches_luders_oracles(pl):
     assert np.array_equal(infer_order(pl), oracles.luders_infer_order(pl))
     for a in range(pl.n):
         assert infer_complement(pl, a) == oracles.luders_infer_complement(pl, a)
+
+
+def test_reconstruction_matches_luders_oracles(closure_case):
+    _assert_reconstruction_matches_luders_oracles(closure_case[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(generators=_random_rays())
+def test_reconstruction_of_random_rays_matches_luders_oracles(generators):
+    # the per-pair oracles ask O(n^2) public queries, so closures stay small
+    try:
+        pl = projector_lattice(generators, max_elements=32)
+    except ClosureTooLarge:
+        return
+    _assert_reconstruction_matches_luders_oracles(pl)
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_reconstruction_blocks_bound_memory(dim):
+    # B64 and B128: each block's (rows, n, d, d) transients stay under 128 KiB
+    pl = projector_lattice(_commuting_rays(dim, 0), max_elements=2**dim)
+    tracemalloc.start()
+    try:
+        order = infer_order(pl)
+        complements = [infer_complement(pl, a) for a in range(pl.n)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(order, pl.lattice.leq)
+    assert complements == pl.lattice.ortho.tolist()
+    assert peak < 2**20  # 0.30 / 0.41 MiB measured
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_probabilities_match_sandwiching_every_answer(zx, qutrit, seed):
+    # the kernel reads the last answer as tr(E sigma), not tr(E sigma E)
+    rng = np.random.default_rng(seed)
+    for pl in (zx, qutrit, _plane4_lattice()):
+        rho = random_density_matrix(pl.dim, rng)
+        steps = [(int(rng.integers(pl.n)), bool(rng.integers(2))) for _ in range(rng.integers(5))]
+        expected = oracles.sandwiched_probability(pl, rho, steps)
+        assert abs(sequence_probability(pl, rho, steps) - expected) <= 1e-12
+        probe, middle = (int(x) for x in rng.integers(pl.n, size=2))
+        agree = sum(
+            oracles.sandwiched_probability(pl, rho, [(probe, a), (middle, b), (probe, a)])
+            for a in (True, False)
+            for b in (True, False)
+        )
+        assert abs(isolated_check(pl, rho, probe, middle) - min(1.0, agree)) <= 1e-12
 
 
 def test_infer_order_validates_rho_at_most_once_per_row(monkeypatch):
