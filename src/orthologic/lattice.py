@@ -163,6 +163,18 @@ def _row_blocks(rows: int, cols: int, words: int):
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
+def _tiles(rows: int, cols: int, words: int):
+    """(row slice, column slice) tiles whose (rows, cols, words) uint64 arrays fit the cap.
+
+    Rows go in blocks as in ``_row_blocks``; only a row too wide for the cap
+    on its own is split into column blocks.
+    """
+    width = max(1, min(cols, _BLOCK_BYTES // (8 * max(1, words))))
+    for block in _row_blocks(rows, width, words):
+        for lo in range(0, cols, width):
+            yield block, slice(lo, min(lo + width, cols))
+
+
 def _bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` on boolean matrices: per 64-bit word, AND rows of x with columns of y."""
     rows, cols = _packed(x).T.copy(), _packed(y.T).T.copy()  # one row per word

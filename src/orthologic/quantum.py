@@ -13,6 +13,13 @@ that scale:
 - rank: a singular value counts when it is ``> TOL``;
 - match: a projector equals the first element, in discovery order, whose
   Frobenius distance to it is ``<= TOL``;
+- commuting pairs: the closure reads the meet and join of P and Q as PQ and
+  P + Q - PQ when ``||PQ - QP||_F <= _COMMUTATOR_BOUND`` (``TOL / 1000``),
+  and drops either one without its SVD when it lies within ``TOL / 2`` of
+  an element already found.  Such a pair's principal angles lie within
+  O(bound) of 0 or pi/2, so the SVD's span is within O(bound) of the same
+  candidate and within ``TOL / 2 + O(bound) < TOL`` of that element: the
+  match drops it too (:func:`_commuting_matched`);
 - order: ``P_i <= P_j`` when ``||P_j P_i - P_i|| <= TOL``;
 - certainty: a conditional probability ``num / den`` is certain when
   ``|num / den - 1| <= TOL``;
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +50,7 @@ from .lattice import (
     Lattice,
     _checked_indices,
     _element_index,
-    _row_blocks,
+    _tiles,
     lattice_from_leq,
 )
 from .states import LatticeState
@@ -77,6 +85,7 @@ __all__ = [
 ]
 
 TOL = 1e-9
+_COMMUTATOR_BOUND = TOL * 1e-3
 _SNAP_DENOMINATOR = 10**12
 
 
@@ -238,8 +247,8 @@ def _match(stack: np.ndarray, p: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _matched(stack: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Which ``candidates`` lie within Frobenius distance ``TOL`` of some element of ``stack``.
+def _matched(stack: np.ndarray, candidates: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """Which ``candidates`` lie within Frobenius distance ``tol`` of some element of ``stack``.
 
     The Gram identity ||C - K||^2 = ||C||^2 + ||K||^2 - 2 Re<C, K> rules out
     every pair farther apart than 1/2 at once; its rounding (~1e-14 for
@@ -253,31 +262,61 @@ def _matched(stack: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         + np.sum(np.abs(k) ** 2, axis=1)
         - 2 * (c @ k.conj().T).real
     )
-    near_c, near_k = np.nonzero(squared <= TOL**2 + 0.25)
-    hits = np.linalg.norm(stack[near_k] - candidates[near_c], axis=(1, 2)) <= TOL
+    near_c, near_k = np.nonzero(squared <= tol**2 + 0.25)
+    hits = np.linalg.norm(stack[near_k] - candidates[near_c], axis=(1, 2)) <= tol
     matched = np.zeros(len(candidates), dtype=bool)
     matched[near_c[hits]] = True
     return matched
 
 
+def _commuting_matched(stack: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Which joins and meets (slices 2k and 2k + 1 for pair k) ``stack`` holds, with no SVD.
+
+    Only commuting pairs are decided; every other slice reads False.
+
+    For hermitian P and Q, QP = (PQ)^H, so ||PQ - QP||_F = ||C - C^H||_F with
+    C = PQ.  When it is at most ``_COMMUTATOR_BOUND`` (TOL / 1000), Halmos's
+    two-subspace theorem puts every principal angle between the two ranges
+    within O(bound) of 0 or pi/2.  The singular values of [P Q] and of
+    [I-P I-Q] are then each O(bound), far below ``TOL``, or near 1 and above,
+    so the ranks ``_spans`` finds are those of the commuting pair, and its
+    join and meet lie within O(bound) of P + Q - M and M, where M = (C + C^H)/2.
+    A candidate found within ``TOL / 2`` of an element of ``stack`` has its
+    SVD span within TOL / 2 + O(bound) < TOL of the same element, so
+    ``_matched`` would drop it as well: this filter never decides a
+    candidate differently, it only skips the SVD of one that would be dropped.
+    """
+    c = p @ q
+    commuting = np.linalg.norm(c - c.conj().swapaxes(1, 2), axis=(1, 2)) <= _COMMUTATOR_BOUND
+    matched = np.zeros((len(p), 2), dtype=bool)
+    if commuting.any():
+        c = c[commuting]
+        meets = (c + c.conj().swapaxes(1, 2)) / 2
+        joins = p[commuting] + q[commuting] - meets
+        candidates = np.stack([joins, meets], axis=1).reshape(-1, *c.shape[1:])
+        matched[commuting] = _matched(stack, candidates, TOL / 2).reshape(-1, 2)
+    return matched.ravel()
+
+
 def _order_and_complement(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inclusion ``P_i <= P_j`` and the index of each ``I - P_i``, by the rules of ``TOL``.
 
-    Rows go in blocks whose (rows, n, d, d) transients fit ``_BLOCK_BYTES``;
-    one matmul of the whole stack against a block gives every ``P_j P_i``.
+    Tiles of rows and columns keep their (rows, cols, d, d) transients under
+    ``_BLOCK_BYTES``; one matmul of the columns against the rows gives every ``P_j P_i``.
     Every complement was added to the stack, so each row matches some element.
     """
     n, dim = stack.shape[:2]
-    flat, eye = stack.reshape(n * dim, dim), np.eye(dim)
-    leq, ortho = np.empty((n, n), dtype=bool), np.empty(n, dtype=np.int64)
-    for rows in _row_blocks(n, n, 2 * dim * dim):
+    eye = np.eye(dim)
+    leq, near = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
+    for rows, cols in _tiles(n, n, 2 * dim * dim):
         # block[r, i, c] = (P_i)_rc and products[j, r, i, c] = (P_j P_i)_rc
         block = stack[rows].transpose(1, 0, 2)
-        products = (flat @ block.reshape(dim, -1)).reshape(n, dim, -1, dim)
-        leq[rows] = (np.linalg.norm(products - block, axis=(1, 3)) <= TOL).T
-        near = np.linalg.norm(stack - (eye - stack[rows])[:, None], axis=(2, 3)) <= TOL
-        ortho[rows] = np.argmax(near, axis=1)  # the first match, as in _match
-    return leq, ortho
+        flat = stack[cols].reshape(-1, dim)
+        products = (flat @ block.reshape(dim, -1)).reshape(-1, dim, block.shape[1], dim)
+        leq[rows, cols] = (np.linalg.norm(products - block, axis=(1, 3)) <= TOL).T
+        complements = (eye - stack[rows])[:, None]
+        near[rows, cols] = np.linalg.norm(stack[cols] - complements, axis=(2, 3)) <= TOL
+    return leq, np.argmax(near, axis=1)  # the first match, as in _match
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,6 +340,13 @@ class ProjectorLattice:
 
     def projector(self, i: int) -> np.ndarray:
         return self.projectors[i]
+
+    @cached_property
+    def projector_stack(self) -> np.ndarray:
+        """The projectors as one read-only ``(n, d, d)`` array, stacked on first use."""
+        stack = np.asarray(self.projectors)
+        stack.setflags(write=False)
+        return stack
 
 
 def projector_lattice(
@@ -365,15 +411,18 @@ def projector_lattice(
 
     # semi-naive rounds: a pair of older elements was combined in an earlier
     # round, so each round combines only pairs that include a newer element.
-    # The pairs go in blocks, in the order of the double loop i < j: one SVD
-    # stack gives each pair's join (span of [P Q]) and meet (by De Morgan, the
-    # complement of the span of [I-P I-Q]), then one match against the
-    # elements found before the block drops the candidates they already hold.
-    # Only the rest go through add(), in order, so the discovery order, the
-    # labels and the point where ClosureTooLarge is raised stay those of one
-    # add() per candidate: an older element always wins the first match.
+    # The pairs go in blocks, in the order of the double loop i < j.  First
+    # _commuting_matched drops each commuting pair's join and meet that the
+    # elements found before the block already hold, with no SVD.  One SVD
+    # stack gives every other join (span of [P Q]) and meet (by De Morgan,
+    # the complement of the span of [I-P I-Q]), then one match against the
+    # same elements drops the candidates they already hold.  Only the rest
+    # go through add(), in order, so the discovery order, the labels and the
+    # point where ClosureTooLarge is raised stay those of one add() per
+    # candidate: an older element always wins the first match.
     # A pair's transients (two (d, 2d) inputs, u, vh, two candidates) take
-    # about 256 d^2 bytes; a block keeps them all under _BLOCK_BYTES.
+    # about 256 d^2 bytes, the filter's about 128 d^2; a block keeps them all
+    # under _BLOCK_BYTES.
     pairs_per_block = max(1, _BLOCK_BYTES // (256 * dim * dim))
     eye2 = np.hstack([eye, eye])
     fresh = 0
@@ -387,9 +436,16 @@ def projector_lattice(
         left, right = left[right >= fresh], right[right >= fresh]
         for lo in range(0, len(left), pairs_per_block):
             block = slice(lo, lo + pairs_per_block)
-            joins = np.concatenate([stack[left[block]], stack[right[block]]], axis=2)
-            spans = _spans(np.stack([joins, eye2 - joins], axis=1).reshape(-1, dim, 2 * dim))
-            spans[1::2] = eye - spans[1::2]
+            firsts, seconds = stack[left[block]], stack[right[block]]
+            # slice 2k is pair k's join, slice 2k + 1 its meet
+            pending = np.flatnonzero(~_commuting_matched(stack, firsts, seconds))
+            if not pending.size:
+                continue
+            joins = np.concatenate([firsts, seconds], axis=2)
+            slices = np.stack([joins, eye2 - joins], axis=1).reshape(-1, dim, 2 * dim)
+            spans = _spans(slices[pending])
+            meets = pending % 2 == 1
+            spans[meets] = eye - spans[meets]
             candidates = (spans + spans.conj().swapaxes(1, 2)) / 2
             for p in candidates[~_matched(stack, candidates)]:
                 add(p)
@@ -511,8 +567,9 @@ def _luders(projectors: np.ndarray, sigma: np.ndarray, steps) -> np.ndarray:
     state with P (answer true) or I - P (answer false), with no
     renormalization; the last needs no post-measurement state and is read as
     tr(E sigma), which equals tr(E sigma E) for a projector E.  A step's
-    element may be an index array into the stacked ``projectors``; the steps
-    and the leading axes of ``sigma`` then broadcast and so does the result.
+    element may be an index array or a slice into the stacked ``projectors``;
+    the steps and the leading axes of ``sigma`` then broadcast and so does
+    the result.
     """
     if not steps:
         return np.clip(np.trace(sigma, axis1=-2, axis2=-1).real, 0.0, 1.0)
@@ -543,7 +600,7 @@ def sequence_probability(pl: ProjectorLattice, rho, sequence) -> float:
     rho = validate_density_matrix(rho, dim=pl.dim)
     steps = _steps_of(sequence)
     _checked_indices(pl.n, (element for element, _ in steps))
-    return float(_luders(np.asarray(pl.projectors), rho, steps))
+    return float(_luders(pl.projector_stack, rho, steps))
 
 
 def isolated_check(
@@ -552,7 +609,7 @@ def isolated_check(
     """Probability that two probe inquiries agree, marginalizing the middle one."""
     rho = validate_density_matrix(rho, dim=pl.dim)
     _checked_indices(pl.n, (probe,) if intermediate is None else (probe, intermediate))
-    projectors = np.asarray(pl.projectors)
+    projectors = pl.projector_stack
     answered = _answered(projectors, rho, probe)
     return float(_agreement(projectors, answered, probe, intermediate))
 
@@ -571,8 +628,8 @@ def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
 # reconstruction from the probability oracle, at the maximally mixed
 # preparation (valid by construction).  Every clause about ``a`` and ``b``
 # starts with ``a`` answered, so each row ``a`` updates the preparation once
-# per answer and reads every ``b`` from those two states, a block of rows
-# per kernel call.
+# per answer and reads every ``b`` from those two states, a tile of rows
+# and columns per kernel call.
 
 
 def _certain(projectors: np.ndarray, sigma: np.ndarray, question) -> np.ndarray:
@@ -593,25 +650,27 @@ def infer_order(pl: ProjectorLattice) -> np.ndarray:
     the sandwich a, b, a preserves the first answer with certainty, both at
     the maximally mixed preparation.  Must reproduce subspace inclusion.
     """
-    projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
+    projectors, mm, every = pl.projector_stack, maximally_mixed(pl.dim), np.arange(pl.n)
     leq = np.empty((pl.n, pl.n), dtype=bool)
-    # a block's largest transient is one (rows, n, d, d) complex stack: 2 d^2 words per entry
-    for rows in _row_blocks(pl.n, pl.n, 2 * pl.dim**2):
+    # a tile's largest transient is one (rows, cols, d, d) complex stack: 2 d^2 words per entry
+    for rows, cols in _tiles(pl.n, pl.n, 2 * pl.dim**2):
         a = every[rows, None]
         answered = _answered(projectors, mm, a)
-        stable = np.abs(_agreement(projectors, answered, a, every) - 1.0) <= TOL
-        leq[rows] = _certain(projectors, answered[True], (every, True)) & stable
+        stable = np.abs(_agreement(projectors, answered, a, cols) - 1.0) <= TOL
+        leq[rows, cols] = _certain(projectors, answered[True], (cols, True)) & stable
     return leq
 
 
 def infer_complement(pl: ProjectorLattice, a: int) -> int:
     """The unique element answering opposite to ``a`` with certainty, both ways."""
     _checked_indices(pl.n, (a,))
-    projectors, mm, every = np.asarray(pl.projectors), maximally_mixed(pl.dim), np.arange(pl.n)
-    answered = _answered(projectors, mm, a)
-    flipped = _certain(projectors, answered[True], (every, False))
-    restored = _certain(projectors, answered[False], (every, True))
-    matches = np.flatnonzero(flipped & restored)
+    projectors = pl.projector_stack
+    answered = _answered(projectors, maximally_mixed(pl.dim), a)
+    both = np.empty(pl.n, dtype=bool)
+    for _, cols in _tiles(1, pl.n, 2 * pl.dim**2):  # one row of infer_order's tiles
+        flipped = _certain(projectors, answered[True], (cols, False))
+        both[cols] = flipped & _certain(projectors, answered[False], (cols, True))
+    matches = np.flatnonzero(both)
     if not matches.size:
         raise NoComplement(f"no element complements {pl.lattice.names[a]!r}")
     if matches.size > 1:

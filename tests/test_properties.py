@@ -302,6 +302,17 @@ def test_pairs_come_in_the_order_of_nonzero(leq, seed):
         assert [x.tolist() for x in got] == [x.tolist() for x in expected]
 
 
+@given(rows=st.integers(0, 300), cols=st.integers(0, 300), words=st.integers(1, 300))
+def test_tiles_cover_each_cell_once_within_the_cap(rows, cols, words):
+    seen = np.zeros((rows, cols), dtype=np.int64)
+    for block, span in lattice_module._tiles(rows, cols, words):
+        seen[block, span] += 1
+        cells = (block.stop - block.start) * (span.stop - span.start)
+        # only a single cell wider than the cap on its own goes over it
+        assert cells * words * 8 <= lattice_module._BLOCK_BYTES or cells == 1
+    assert (seen == 1).all()
+
+
 _NAME_CHARS = st.sampled_from(
     ["a", "0", "(", ",", "é", " ", "\t", "\n", "#", "\x00", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
 )

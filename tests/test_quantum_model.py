@@ -16,6 +16,7 @@ from orthologic import (
     InquirySequence,
     NoComplement,
     NotUnique,
+    OrthologicError,
     ProjectorLattice,
     basis_projector,
     born_state,
@@ -28,6 +29,7 @@ from orthologic import (
     is_state,
     isolated_check,
     ket_projector,
+    lattice_from_leq,
     maximally_mixed,
     projector_lattice,
     qubit_z_lattice,
@@ -510,6 +512,27 @@ def test_reconstruction_blocks_bound_memory(dim):
     assert peak < 2**20  # 0.30 / 0.41 MiB measured
 
 
+def test_reconstruction_tiles_bound_memory_at_b256():
+    # B256 from the diagonal projectors of d = 8: one row's (1, 256, 8, 8) stack is
+    # 256 KiB, twice the cap, so the columns of a row go in tiles too
+    masks = np.arange(256)
+    leq = (masks[:, None] & masks) == masks[:, None]
+    lattice = lattice_from_leq([f"e{m}" for m in masks], leq, 255 ^ masks)
+    diagonals = (masks[:, None] >> np.arange(8)) & 1
+    pl = ProjectorLattice(lattice, tuple(np.diag(v).astype(complex) for v in diagonals), 8)
+    pl.projector_stack  # kept on the lattice, stacked before the measurement
+    tracemalloc.start()
+    try:
+        order = infer_order(pl)
+        complements = [infer_complement(pl, a) for a in range(pl.n)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(order, leq)
+    assert complements == (255 ^ masks).tolist()
+    assert peak < 0.6 * 2**20  # 0.46 MiB measured; 1.08 MiB with whole rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_probabilities_match_sandwiching_every_answer(zx, qutrit, seed):
@@ -544,19 +567,105 @@ def test_infer_order_validates_rho_at_most_once_per_row(monkeypatch):
     assert len(calls) <= pl.n
 
 
-@pytest.mark.parametrize("generators", [[z0(), z1(), x_plus(), x_minus()], _commuting_rays(5, 3)])
-def test_closure_combines_each_pair_once(monkeypatch, generators):
-    # every pair yields one span and one intersection, each one slice of a _spans stack
-    slices = []
-    real = quantum._spans
+@pytest.mark.parametrize(
+    "generators, commuting",
+    [([z0(), z1(), x_plus(), x_minus()], False), (_commuting_rays(5, 3), True)],
+    ids=["qubit-zx", "commuting-d5"],
+)
+def test_closure_decides_each_candidate_once(monkeypatch, generators, commuting):
+    # every pair yields one join and one meet; the commuting filter drops some,
+    # and each of the rest is one slice of the _spans call that follows it
+    events = []
+    real_filter, real_spans = quantum._commuting_matched, quantum._spans
 
-    def counting(blocks):
-        slices.append(len(blocks))
-        return real(blocks)
+    def filtering(stack, firsts, seconds):
+        matched = real_filter(stack, firsts, seconds)
+        events.append(("filter", len(matched), int(matched.sum())))
+        return matched
 
-    monkeypatch.setattr(quantum, "_spans", counting)
+    def spanning(blocks):
+        events.append(("spans", len(blocks)))
+        return real_spans(blocks)
+
+    monkeypatch.setattr(quantum, "_commuting_matched", filtering)
+    monkeypatch.setattr(quantum, "_spans", spanning)
     pl = projector_lattice(generators)
-    assert sum(slices) == pl.n * (pl.n - 1)
+    filtered = slices = 0
+    for k, event in enumerate(events):
+        if event[0] == "filter":
+            _, candidates, dropped = event
+            filtered += dropped
+            if dropped < candidates:
+                assert events[k + 1] == ("spans", candidates - dropped)
+                slices += candidates - dropped
+        else:
+            assert events[k - 1][0] == "filter"
+    assert filtered + slices == pl.n * (pl.n - 1)
+    if commuting:  # B32: fewer slices than elements (15 of 992 measured)
+        assert slices < pl.n
+
+
+def _closure_outcome(generators):
+    try:
+        pl = projector_lattice(generators)
+    except OrthologicError as exc:
+        return type(exc), str(exc)
+    return pl.lattice.names, pl.lattice.leq, pl.lattice.ortho, pl.projector_stack
+
+
+def _assert_same_outcome(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@st.composite
+def _near_rays(draw, angles):
+    # in a random basis: a ray, one theta from it or theta short of orthogonal,
+    # and perhaps a third, 2 theta from the first in their plane or orthogonal to both
+    dim, theta = draw(st.integers(2, 4)), draw(angles)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+    turns = [0.0, draw(st.sampled_from([theta, np.pi / 2 - theta]))]
+    third = draw(st.sampled_from(["none", "plane", "orthogonal"] if dim > 2 else ["none", "plane"]))
+    if third == "plane":
+        turns.append(2 * theta)
+    rays = [q[:, :2] @ np.array([np.cos(t), np.sin(t)]) for t in turns]
+    if third == "orthogonal":
+        rays.append(q[:, 2])
+    return [ket_projector(v) for v in rays]
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        _random_rays(),
+        st.builds(_commuting_rays, st.integers(2, 6), st.integers(0, 2**32 - 1)),
+        # the filter's boundary: a commutator norm of about sqrt(2) theta
+        _near_rays(st.floats(-13, -11).map(lambda e: 10**e)),
+        # the band where the closure's three TOL decisions disagree
+        _near_rays(st.floats(0.5, 2).map(lambda f: f * TOL)),
+    ],
+    ids=["random-rays", "commuting", "theta-near-bound", "theta-near-tol"],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_commuting_filter_changes_no_closure(inputs, data):
+    # a negative bound certifies no pair, so every candidate goes through the SVD
+    generators = data.draw(inputs)
+    filtered = _closure_outcome(generators)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum, "_COMMUTATOR_BOUND", -1.0)
+        unfiltered = _closure_outcome(generators)
+    _assert_same_outcome(filtered, unfiltered)
+
+
+def test_projector_stack_is_stacked_once_and_read_only(zx):
+    stack = zx.projector_stack
+    assert stack is zx.projector_stack
+    assert np.array_equal(stack, np.asarray(zx.projectors))
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1
 
 
 def test_closure_blocks_bound_memory():
