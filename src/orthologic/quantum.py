@@ -14,12 +14,13 @@ that scale:
 - match: a projector equals the first element, in discovery order, whose
   Frobenius distance to it is ``<= TOL``;
 - commuting pairs: the closure reads the meet and join of P and Q as PQ and
-  P + Q - PQ when ``||PQ - QP||_F <= _COMMUTATOR_BOUND`` (``TOL / 1000``),
-  and drops either one without its SVD when it lies within ``TOL / 2`` of
-  an element already found.  Such a pair's principal angles lie within
-  O(bound) of 0 or pi/2, so the SVD's span is within O(bound) of the same
-  candidate and within ``TOL / 2 + O(bound) < TOL`` of that element: the
-  match drops it too (:func:`_commuting_matched`);
+  P + Q - PQ when ``||PQ - QP||_F``, ``||P^2 - P||_F`` and ``||Q^2 - Q||_F``
+  are each at most ``_COMMUTATOR_BOUND`` (``TOL / 1000``), and drops either
+  one without its SVD when it lies within ``TOL / 2`` of an element already
+  found.  Such a pair lies within O(bound) of two projectors whose principal
+  angles lie within O(bound) of 0 or pi/2, so the SVD's span is within
+  O(bound) of the same candidate and within ``TOL / 2 + O(bound) < TOL`` of
+  that element: the match drops it too (:func:`_commuting_matched`);
 - order: ``P_i <= P_j`` when ``||P_j P_i - P_i|| <= TOL``;
 - certainty: a conditional probability ``num / den`` is certain when
   ``|num / den - 1| <= TOL``;
@@ -269,25 +270,35 @@ def _matched(stack: np.ndarray, candidates: np.ndarray, tol: float = TOL) -> np.
     return matched
 
 
-def _commuting_matched(stack: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _commuting_matched(
+    stack: np.ndarray, p: np.ndarray, q: np.ndarray, exact: np.ndarray
+) -> np.ndarray:
     """Which joins and meets (slices 2k and 2k + 1 for pair k) ``stack`` holds, with no SVD.
 
-    Only commuting pairs are decided; every other slice reads False.
+    Only pairs of near-exact projectors that commute are decided; every other
+    slice reads False.  ``exact`` says, per pair, whether both ||P^2 - P||_F
+    and ||Q^2 - Q||_F are at most ``_COMMUTATOR_BOUND`` (:func:`_exact`).
 
     For hermitian P and Q, QP = (PQ)^H, so ||PQ - QP||_F = ||C - C^H||_F with
-    C = PQ.  When it is at most ``_COMMUTATOR_BOUND`` (TOL / 1000), Halmos's
-    two-subspace theorem puts every principal angle between the two ranges
-    within O(bound) of 0 or pi/2.  The singular values of [P Q] and of
-    [I-P I-Q] are then each O(bound), far below ``TOL``, or near 1 and above,
-    so the ranks ``_spans`` finds are those of the commuting pair, and its
-    join and meet lie within O(bound) of P + Q - M and M, where M = (C + C^H)/2.
-    A candidate found within ``TOL / 2`` of an element of ``stack`` has its
-    SVD span within TOL / 2 + O(bound) < TOL of the same element, so
-    ``_matched`` would drop it as well: this filter never decides a
-    candidate differently, it only skips the SVD of one that would be dropped.
+    C = PQ; the pair is certified when it too is at most the bound, d = TOL / 1000.
+    Each eigenvalue l of P has |l^2 - l| <= d, so P lies within about d of
+    the projector onto its eigenvalues near 1, and likewise Q; those two
+    projectors commute within about 5 d, and Halmos's two-subspace theorem
+    puts every principal angle between their ranges within O(d) of 0 or pi/2.
+    The singular values of [P Q] and of [I-P I-Q] are then each O(d), far
+    below ``TOL``, or near 1 and above, so the ranks ``_spans`` finds are
+    those of the commuting pair, and its join and meet lie within O(d) of
+    P + Q - M and M, where M = (C + C^H)/2.  A candidate found within
+    ``TOL / 2`` of an element of ``stack`` has its SVD span within
+    TOL / 2 + O(d) < TOL of the same element, so ``_matched`` would drop it
+    as well: this filter never decides a candidate differently, it only
+    skips the SVD of one that would be dropped.  Idempotence is part of the
+    bound because ``validate_projector`` admits an error up to ``TOL``: with
+    P = (1 - e)|u><u|, P + Q - M lies e from the SVD span, which is too far.
     """
     c = p @ q
     commuting = np.linalg.norm(c - c.conj().swapaxes(1, 2), axis=(1, 2)) <= _COMMUTATOR_BOUND
+    commuting &= exact
     matched = np.zeros((len(p), 2), dtype=bool)
     if commuting.any():
         c = c[commuting]
@@ -296,6 +307,11 @@ def _commuting_matched(stack: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nd
         candidates = np.stack([joins, meets], axis=1).reshape(-1, *c.shape[1:])
         matched[commuting] = _matched(stack, candidates, TOL / 2).reshape(-1, 2)
     return matched.ravel()
+
+
+def _exact(stack: np.ndarray) -> np.ndarray:
+    """Which elements of ``stack`` are within ``_COMMUTATOR_BOUND`` of idempotent."""
+    return np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= _COMMUTATOR_BOUND
 
 
 def _order_and_complement(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,7 +360,7 @@ class ProjectorLattice:
     @cached_property
     def projector_stack(self) -> np.ndarray:
         """The projectors as one read-only ``(n, d, d)`` array, stacked on first use."""
-        stack = np.asarray(self.projectors)
+        stack = np.stack(self.projectors)  # a copy, so no caller's array is frozen
         stack.setflags(write=False)
         return stack
 
@@ -413,13 +429,15 @@ def projector_lattice(
     # round, so each round combines only pairs that include a newer element.
     # The pairs go in blocks, in the order of the double loop i < j.  First
     # _commuting_matched drops each commuting pair's join and meet that the
-    # elements found before the block already hold, with no SVD.  One SVD
-    # stack gives every other join (span of [P Q]) and meet (by De Morgan,
-    # the complement of the span of [I-P I-Q]), then one match against the
-    # same elements drops the candidates they already hold.  Only the rest
-    # go through add(), in order, so the discovery order, the labels and the
-    # point where ClosureTooLarge is raised stay those of one add() per
-    # candidate: an older element always wins the first match.
+    # elements found before the block already hold, with no SVD, for pairs
+    # of near-exact projectors (a generator may be up to TOL from
+    # idempotent).  One SVD stack gives every other join (span of [P Q]) and
+    # meet (by De Morgan, the complement of the span of [I-P I-Q]), then one
+    # match against the same elements drops the candidates they already
+    # hold.  Only the rest go through add(), in order, so the discovery
+    # order, the labels and the point where ClosureTooLarge is raised stay
+    # those of one add() per candidate: an older element always wins the
+    # first match.
     # A pair's transients (two (d, 2d) inputs, u, vh, two candidates) take
     # about 256 d^2 bytes, the filter's about 128 d^2; a block keeps them all
     # under _BLOCK_BYTES.
@@ -432,13 +450,15 @@ def projector_lattice(
             j = add(eye - stack[i])
             if labels[j] is None and labels[i] is not None:
                 labels[j] = "~" + labels[i]
+        near_exact = _exact(stack[:before])
         left, right = np.triu_indices(before, 1)
         left, right = left[right >= fresh], right[right >= fresh]
         for lo in range(0, len(left), pairs_per_block):
             block = slice(lo, lo + pairs_per_block)
             firsts, seconds = stack[left[block]], stack[right[block]]
             # slice 2k is pair k's join, slice 2k + 1 its meet
-            pending = np.flatnonzero(~_commuting_matched(stack, firsts, seconds))
+            exact = near_exact[left[block]] & near_exact[right[block]]
+            pending = np.flatnonzero(~_commuting_matched(stack, firsts, seconds, exact))
             if not pending.size:
                 continue
             joins = np.concatenate([firsts, seconds], axis=2)
@@ -653,9 +673,11 @@ def infer_order(pl: ProjectorLattice) -> np.ndarray:
     projectors, mm, every = pl.projector_stack, maximally_mixed(pl.dim), np.arange(pl.n)
     leq = np.empty((pl.n, pl.n), dtype=bool)
     # a tile's largest transient is one (rows, cols, d, d) complex stack: 2 d^2 words per entry
+    answered_rows = None
     for rows, cols in _tiles(pl.n, pl.n, 2 * pl.dim**2):
         a = every[rows, None]
-        answered = _answered(projectors, mm, a)
+        if rows != answered_rows:  # the column tiles of one row block share its states
+            answered, answered_rows = _answered(projectors, mm, a), rows
         stable = np.abs(_agreement(projectors, answered, a, cols) - 1.0) <= TOL
         leq[rows, cols] = _certain(projectors, answered[True], (cols, True)) & stable
     return leq

@@ -578,8 +578,8 @@ def test_closure_decides_each_candidate_once(monkeypatch, generators, commuting)
     events = []
     real_filter, real_spans = quantum._commuting_matched, quantum._spans
 
-    def filtering(stack, firsts, seconds):
-        matched = real_filter(stack, firsts, seconds)
+    def filtering(stack, firsts, seconds, exact):
+        matched = real_filter(stack, firsts, seconds, exact)
         events.append(("filter", len(matched), int(matched.sum())))
         return matched
 
@@ -636,17 +636,60 @@ def _near_rays(draw, angles):
     return [ket_projector(v) for v in rays]
 
 
+def _scaled(projector, eps):
+    return (1 - eps) * projector
+
+
+@st.composite
+def _scaled_rays(draw):
+    # generators that validate with an idempotence error of up to TOL: in a random
+    # basis u, v, w, P = (1 - e)|u><u| and Q = |v><v| commute exactly, and perhaps
+    # X = (1 - e')|u'><u'| + |v><v|, u' turned by t from u toward w, lies within
+    # TOL / 2 of P + Q while the span of P and Q lies farther than TOL from X
+    dim = draw(st.integers(3, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+    eps = st.one_of(st.just(0.0), st.floats(0.5, 1).map(lambda f: f * TOL))
+    u, v, w = (ket_projector(q[:, k]) for k in range(3))
+    generators = [_scaled(u, draw(eps)), _scaled(v, draw(eps))]
+    if draw(st.booleans()):
+        t = draw(st.floats(0.2, 0.35)) * TOL
+        turned = ket_projector(np.cos(t) * q[:, 0] + np.sin(t) * q[:, 2])
+        generators.append(_scaled(turned, draw(eps)) + v)
+    if draw(st.booleans()):
+        generators.append(_scaled(w, draw(eps)))
+    return generators
+
+
+def _inexact_commuting():
+    # P + Q lies 4.5e-10 from X, but the span of P and Q lies 1.007e-9 from it
+    eps, t = 0.9e-9, 3.2e-10
+    u, v, w = np.eye(3, dtype=complex)
+    turned = ket_projector(np.cos(t) * u + np.sin(t) * w)
+    v = ket_projector(v)
+    return [_scaled(ket_projector(u), eps), v, _scaled(turned, eps) + v]
+
+
 @pytest.mark.parametrize(
     "inputs",
     [
         _random_rays(),
+        _scaled_rays(),
+        st.just(_inexact_commuting()),
         st.builds(_commuting_rays, st.integers(2, 6), st.integers(0, 2**32 - 1)),
         # the filter's boundary: a commutator norm of about sqrt(2) theta
         _near_rays(st.floats(-13, -11).map(lambda e: 10**e)),
         # the band where the closure's three TOL decisions disagree
         _near_rays(st.floats(0.5, 2).map(lambda f: f * TOL)),
     ],
-    ids=["random-rays", "commuting", "theta-near-bound", "theta-near-tol"],
+    ids=[
+        "random-rays",
+        "scaled-rays",
+        "inexact-commuting",
+        "commuting",
+        "theta-near-bound",
+        "theta-near-tol",
+    ],
 )
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -666,6 +709,10 @@ def test_projector_stack_is_stacked_once_and_read_only(zx):
     assert np.array_equal(stack, np.asarray(zx.projectors))
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 1
+    # an ndarray passed for the projectors is copied, not frozen in place
+    projectors = np.asarray(zx.projectors).copy()
+    ProjectorLattice(zx.lattice, projectors, zx.dim).projector_stack
+    assert projectors.flags.writeable
 
 
 def test_closure_blocks_bound_memory():
