@@ -50,7 +50,7 @@ class NotAState(OrthologicError):
 
 
 class TooLarge(OrthologicError):
-    """Problem size exceeds the supported exhaustive-search bound."""
+    """Problem size exceeds a supported bound (exhaustive search, direct product)."""
 
 
 class BadProjector(OrthologicError):

@@ -36,6 +36,7 @@ from .errors import (
     NotALattice,
     NotClosed,
     ParseError,
+    TooLarge,
     UnknownName,
 )
 
@@ -888,16 +889,25 @@ def is_distributive_subset(
 # ---------------------------------------------------------------------------
 # products and catalog
 
+_MAX_PRODUCT = 1 << 12  # elements: B8^4
+
 
 def direct_product(first: Lattice, second: Lattice) -> Lattice:
     """Componentwise product; element (i, j) sits at index i * |second| + j.
 
     A product of ortholattices is an ortholattice whose order, meet, join
     and orthocomplement act componentwise, so the factors' certified tables
-    compose directly and nothing is re-derived.
+    compose directly and nothing is re-derived.  Products above 4,096
+    elements (B8^4) raise :class:`TooLarge` before any name or table is
+    built: for two n=512 factors the boolean order table alone is 64 GiB.
     """
     if first.ortho is None or second.ortho is None:
         raise BadOrtho("direct product requires orthocomplementations on both factors")
+    if first.n * second.n > _MAX_PRODUCT:
+        raise TooLarge(
+            f"direct product of {first.n} x {second.n} = {first.n * second.n} elements "
+            f"exceeds the {_MAX_PRODUCT}-element cap"
+        )
     names = tuple(f"({a},{b})" for a in first.names for b in second.names)
     _check_names(names)
     n, n2 = len(names), second.n

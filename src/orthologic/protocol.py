@@ -10,11 +10,19 @@ noiseless by construction.
 
 All randomness comes from one Philox stream per variable, drawn in fixed
 chunks; results do not depend on the chunk size, and identical
-configurations produce bit-identical statistics.
+configurations produce bit-identical statistics.  The four bit streams
+give one raw 64-bit word per eight rounds, a round's bit being the top
+bit of its byte (low byte first): numpy's ``Generator.integers(0, 2, n,
+uint8)`` returns exactly these bits.  The ``active`` stream gives one word
+per round, and ``Generator.random()`` is that word shifted right by 11
+times 2⁻⁵³, so the interception test compares the word with an integer
+threshold instead.  The counts are therefore those of the ``Generator``
+draws on the same streams.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +30,8 @@ import numpy as np
 __all__ = ["ProtocolConfig", "ProtocolStats", "STRATEGIES", "run_detection_protocol"]
 
 STRATEGIES = ("none", "intercept-resend")
-_CHUNK = 1 << 16  # rounds per chunk: a multiple of 4, as numpy draws uint8 four to a word
+_CHUNK = 1 << 16  # rounds per chunk: a multiple of 8, as one raw word holds eight rounds
+_TOP_BITS = np.uint64(0x8080808080808080)  # each byte's top bit is one round's bit
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,15 @@ class ProtocolStats:
     detected: bool
 
 
+def _intercepted(words: np.ndarray, fraction: float) -> np.ndarray:
+    """``Generator.random() < fraction`` for the draws whose raw words are ``words``.
+
+    ``random()`` is ``(word >> 11)·2⁻⁵³``, and k·2⁻⁵³ < f exactly when
+    k < ceil(f·2⁵³); the threshold fits 64 bits for every fraction below 1.
+    """
+    return words < np.uint64(math.ceil(fraction * 2**53) << 11)
+
+
 def run_detection_protocol(config: ProtocolConfig) -> ProtocolStats:
     """Run the seeded protocol and count answer disagreements.
 
@@ -69,19 +87,20 @@ def run_detection_protocol(config: ProtocolConfig) -> ProtocolStats:
     """
     rounds, disagreements = config.rounds, 0
     if config.strategy == "intercept-resend":
+        fraction = config.eavesdrop_fraction
         root = np.random.Philox(key=config.seed)
-        basis, bit, active, eve_basis, coin = (
-            np.random.Generator(root.jumped(i)) for i in range(5)
-        )
+        basis, bit, active, eve_basis, coin = (root.jumped(i) for i in range(5))
         for start in range(0, rounds, _CHUNK):
             n = min(_CHUNK, rounds - start)
+            words = -(-n // 8)
             # a wrong-basis interception leaves the receiver with a coin flip
-            scrambled = eve_basis.integers(0, 2, n, np.uint8) ^ basis.integers(0, 2, n, np.uint8)
-            flipped = coin.integers(0, 2, n, np.uint8) ^ bit.integers(0, 2, n, np.uint8)
-            hits = scrambled & flipped
+            scrambled = eve_basis.random_raw(words) ^ basis.random_raw(words)
+            flipped = coin.random_raw(words) ^ bit.random_raw(words)
+            hits = scrambled & flipped & _TOP_BITS
+            hits = hits.astype("<u8", copy=False).view(np.uint8)[:n]
             # at fraction 1 every round is intercepted, and no other stream reads `active`
-            if config.eavesdrop_fraction < 1.0:
-                hits &= active.random(n) < config.eavesdrop_fraction
+            if fraction < 1.0:
+                hits = (hits >> 7) & _intercepted(active.random_raw(n), fraction)
             disagreements += int(np.count_nonzero(hits))
     return ProtocolStats(
         rounds=rounds,

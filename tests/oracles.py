@@ -537,7 +537,9 @@ def drawn_protocol_disagreements(config, chunk=1 << 16):
     """Disagreements of ``run_detection_protocol``, drawing every stream in every chunk.
 
     Unlike the library, it draws the ``active`` stream at fraction 1 too, so
-    the two agree only if no other stream depends on those draws.
+    the two agree only if no other stream depends on those draws.  It draws
+    through ``Generator.integers`` and ``Generator.random``, so it checks the
+    library's reading of the same streams as raw words.
     """
     root = np.random.Philox(key=config.seed)
     basis, bit, active, eve_basis, coin = (np.random.Generator(root.jumped(i)) for i in range(5))

@@ -1,7 +1,9 @@
 import copy
+import functools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from orthologic import parse_lattice
+from orthologic import catalog, direct_product, parse_lattice, serialize_lattice
 from orthologic.cli import build_parser, main
 from orthologic.reporting import REPORT_SCHEMA
 
@@ -447,6 +449,33 @@ def test_a_closed_stdout_ends_quietly():
         child.kill()
     assert child.returncode == 0
     assert err == b""
+
+
+def _limit_address_space():  # runs in the child only
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+def test_product_above_the_cap_ends_in_a_report_under_400_mb(tmp_path):
+    # B8^3 x B8^3 has 262,144 elements: its order table alone would be 64 GiB
+    cube = serialize_lattice(functools.reduce(direct_product, [catalog("B8")] * 3))
+    paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
+    for path in paths:
+        path.write_text(cube)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-m", "orthologic", "product", *map(str, paths)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert child.returncode == 2, child.stderr
+    report = json.loads(child.stdout)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["exit_code"] == 2
+    assert report["error"].startswith("TooLarge: direct product of 512 x 512")
 
 
 def test_detect_rejects_bad_fraction(capsys):

@@ -17,6 +17,7 @@ from orthologic import (
     NotALattice,
     NotClosed,
     ParseError,
+    TooLarge,
     UnknownName,
     catalog,
     check_incompatible_lemma,
@@ -478,6 +479,34 @@ def test_direct_product_requires_ortho():
     plain = lattice_from_leq(["0", "1"], [[True, True], [False, True]])
     with pytest.raises(BadOrtho):
         direct_product(plain, catalog("B2"))
+
+
+def test_direct_product_refuses_products_above_the_cap(monkeypatch):
+    assert lattice_module._MAX_PRODUCT == 4096  # B8^4
+    monkeypatch.setattr(lattice_module, "_MAX_PRODUCT", 32)
+    assert direct_product(catalog("B4"), catalog("B8")).n == 32
+    with pytest.raises(TooLarge, match=r"4 x 12 = 48 elements exceeds the 32-element cap"):
+        direct_product(catalog("B4"), catalog("MO2xB2"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_lattice(B4_DOC),
+        lambda: catalog("MO3"),
+        lambda: direct_product(catalog("MO2"), catalog("B2")),
+    ],
+    ids=["parsed", "catalog", "product"],
+)
+def test_tables_are_read_only(build):
+    lattice = build()
+    for field in ("leq", "meet", "join", "ortho"):
+        table = getattr(lattice, field)
+        corner = (0,) * table.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            table[corner] = table[corner]
+        with pytest.raises(ValueError, match="read-only"):
+            table += table
 
 
 def _boolean_square(left, right):

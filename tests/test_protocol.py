@@ -1,7 +1,10 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from orthologic import ProtocolConfig, ProtocolStats, protocol, run_detection_protocol
 
@@ -96,16 +99,18 @@ def test_config_validation(kwargs):
 
 
 def test_memory_stays_within_a_chunk():
-    config = ProtocolConfig(
-        rounds=1_000_003, seed=3, eavesdrop_fraction=1.0, strategy="intercept-resend"
-    )
-    tracemalloc.start()
-    try:
-        run_detection_protocol(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    # below fraction 1 the `active` stream adds one 8-byte word per round of a chunk
+    for fraction in (0.5, 1.0):
+        config = ProtocolConfig(
+            rounds=1_000_003, seed=3, eavesdrop_fraction=fraction, strategy="intercept-resend"
+        )
+        tracemalloc.start()
+        try:
+            run_detection_protocol(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, fraction
 
 
 def test_counts_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -114,10 +119,10 @@ def test_counts_do_not_depend_on_the_chunk_size(monkeypatch):
         rounds=rounds, seed=17, eavesdrop_fraction=0.6, strategy="intercept-resend"
     )
     results = []
-    for chunk in (1000, 4096, rounds + 1):
+    for chunk in (8, 1000, 4096, 65536, rounds + 1):
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
         results.append(run_detection_protocol(config))
-    assert results[0] == results[1] == results[2]
+    assert all(result == results[0] for result in results)
 
 
 @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
@@ -131,14 +136,30 @@ def test_rate_within_binomial_bound(fraction):
     assert abs(run_detection_protocol(config).disagreements - rounds * p) <= spread
 
 
-@pytest.mark.parametrize("fraction", [0.3, 1.0])
+@pytest.mark.parametrize("fraction", [0, 2**-60, 0.3, 1 - 2**-53, 1.0])
 @pytest.mark.parametrize("seed", [0, 5, 2**63 + 7])
-@pytest.mark.parametrize("rounds", [1, 4099, 2 * 4096 + 13])
+@pytest.mark.parametrize("rounds", [1, 4099, 2 * 4096 + 13, 2 * 65536 + 13])
 def test_counts_match_drawing_every_stream(monkeypatch, fraction, seed, rounds):
-    # rounds are not multiples of the chunk, so the last chunk is short
-    monkeypatch.setattr(protocol, "_CHUNK", 4096)
+    # rounds are not multiples of the chunk, so the last chunk is short; the
+    # longest run keeps the library's own chunk, the others use a 4096 chunk
+    assert protocol._CHUNK == 65536
+    chunk = protocol._CHUNK if rounds > 2 * protocol._CHUNK else 4096
+    monkeypatch.setattr(protocol, "_CHUNK", chunk)
     config = ProtocolConfig(
         rounds=rounds, seed=seed, eavesdrop_fraction=fraction, strategy="intercept-resend"
     )
-    expected = oracles.drawn_protocol_disagreements(config, chunk=4096)
+    expected = oracles.drawn_protocol_disagreements(config, chunk=chunk)
     assert run_detection_protocol(config).disagreements == expected
+
+
+@given(f=st.floats(0.0, 1.0, exclude_max=True), r=st.integers(0, 2**64 - 1))
+@example(f=0.0, r=0)
+@example(f=2**-60, r=2**11)
+@example(f=0.3, r=2**64 - 1)
+@example(f=1 - 2**-53, r=2**64 - 2**11)
+def test_interception_threshold_is_the_uniform_draw(f, r):
+    # Generator.random() is (r >> 11)·2⁻⁵³; test both sides of the threshold word
+    k = math.ceil(f * 2**53)
+    words = [w for w in (r, k << 11, (k << 11) - 1) if 0 <= w < 2**64]
+    intercepted = protocol._intercepted(np.array(words, dtype=np.uint64), f)
+    assert intercepted.tolist() == [(w >> 11) * 2**-53 < f for w in words]

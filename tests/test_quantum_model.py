@@ -715,6 +715,18 @@ def test_projector_stack_is_stacked_once_and_read_only(zx):
     assert projectors.flags.writeable
 
 
+@pytest.mark.parametrize("name", ["zx", "qutrit"])
+def test_closure_tables_and_stack_are_read_only(request, name):
+    pl = request.getfixturevalue(name)
+    lattice = pl.lattice
+    for table in (lattice.leq, lattice.meet, lattice.join, lattice.ortho, pl.projector_stack):
+        corner = (0,) * table.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            table[corner] = table[corner]
+        with pytest.raises(ValueError, match="read-only"):
+            table += table
+
+
 def test_closure_blocks_bound_memory():
     # B128: 8,128 pairs, combined in blocks whose transients stay under 128 KiB
     generators = _commuting_rays(7, 0)
