@@ -21,6 +21,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -58,6 +59,59 @@ DOCUMENTS |= {
     "mo3xb8.lat": shuffled_product(("MO3", "B8"), 9),
 }
 
+
+def generators_file(vectors):
+    """A ``quantum --generators`` file of the rays ``vectors``, named g0, g1, ..."""
+    mats = [np.outer(v, v.conj()) for v in vectors]
+    return json.dumps({
+        "generators": [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in mats],
+        "names": [f"g{i}" for i in range(len(mats))],
+    })
+
+
+def gaussian_integers(seed, shape):
+    """Seeded Gaussian integers with a nonzero last axis.
+
+    The rays below are built from them with elementwise operations only, so
+    their bits, and the digest of each generators file, do not depend on BLAS.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        v = rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+        if v.any(axis=-1).all():
+            return v
+
+
+def squared_norm(v):
+    return (v.real**2 + v.imag**2).sum(axis=-1, keepdims=True)
+
+
+def reflection(dim, seed):
+    """A seeded random basis: the columns of the Householder reflection I - 2 v v^H / (v^H v)."""
+    v = gaussian_integers(seed, dim)
+    return np.eye(dim) - 2 * np.outer(v, v.conj()) / squared_norm(v)
+
+
+def unit_rays(seed, shape):
+    v = gaussian_integers(seed, shape)
+    return v / np.sqrt(squared_norm(v))
+
+
+def rotated_zxy_rays(seed):
+    u = reflection(2, seed)
+    r = np.sqrt(0.5)
+    return [u[:, 0] * a + u[:, 1] * b for a, b in ((1, 0), (r, r), (r, 1j * r))]
+
+
+# the benchmark's closure shapes: d - 1 commuting rays (B16, B32, B64), the Z, X and Y
+# rays of a rotated qubit (MO3), and four generic qutrit rays past the 64-element cap
+QUANTUM_GENERATORS = {
+    **{f"commuting-d{d}.json": list(reflection(d, d).T[: d - 1]) for d in (4, 5, 6)},
+    "qubit-mo3.json": rotated_zxy_rays(2),
+    "qutrit-generic.json": list(unit_rays(3, (4, 3))),
+}
+DOCUMENTS |= {name: generators_file(rays) for name, rays in QUANTUM_GENERATORS.items()}
+
 COMMANDS = [
     *(("check", name) for name in LATTICES),
     *(("states", name) for name in LATTICES),
@@ -94,6 +148,7 @@ COMMANDS = [
     ("quantum", "--preset", "qubit-zx"),
     ("quantum", "--preset", "qubit-z"),
     ("quantum", "--preset", "qutrit-commuting"),
+    *(("quantum", "--generators", name) for name in QUANTUM_GENERATORS),
 ]
 
 
