@@ -41,8 +41,8 @@ from .lattice import (
 from .protocol import STRATEGIES, ProtocolConfig, run_detection_protocol
 from .quantum import (
     TOL,
+    _reconstruction,
     infer_complement,
-    infer_order,
     matrix_from_json,
     projector_lattice,
     qubit_z_lattice,
@@ -208,10 +208,14 @@ def _quantum_input(args, inputs):
 def _cmd_quantum(args, inputs):
     pl = _quantum_input(args, inputs)
     report = classify(pl.lattice)
-    order_ok = bool(np.array_equal(infer_order(pl), pl.lattice.leq))
-    complement_ok = all(
-        infer_complement(pl, a) == int(pl.lattice.ortho[a]) for a in range(pl.n)
-    )
+    order, complements = _reconstruction(pl)
+    order_ok = bool(np.array_equal(order, pl.lattice.leq))
+    # rows in order, as one infer_complement each: the first without a unique
+    # complement raises, and the first mismatch ends the walk
+    mismatched = np.flatnonzero(complements != pl.lattice.ortho)
+    if mismatched.size and complements[mismatched[0]] < 0:
+        infer_complement(pl, int(mismatched[0]))  # raises NoComplement or NotUnique
+    complement_ok = not mismatched.size
     results = {
         "dimension": pl.dim,
         "size": pl.n,

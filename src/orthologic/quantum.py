@@ -30,6 +30,7 @@ that scale:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -242,42 +243,104 @@ def _spans(blocks: np.ndarray) -> np.ndarray:
     return spans
 
 
-def _match(stack: np.ndarray, p: np.ndarray) -> int | None:
-    """Index of the first projector in ``stack`` within Frobenius distance ``TOL`` of ``p``."""
-    hits = np.flatnonzero(np.linalg.norm(stack - p, axis=(1, 2)) <= TOL)
-    return int(hits[0]) if hits.size else None
+def _real_rows(x: np.ndarray) -> np.ndarray:
+    """A complex ``(k, d, d)`` stack as k real rows of 2 d^2 entries, a view where it can be."""
+    return np.ascontiguousarray(x).reshape(len(x), x.shape[1] * x.shape[2]).view(float)
 
 
-def _matched(stack: np.ndarray, candidates: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """Which ``candidates`` lie within Frobenius distance ``tol`` of some element of ``stack``.
+@functools.lru_cache
+def _key_direction(dim: int) -> np.ndarray:
+    """The unit vector of 2 d^2 reals that projects a real row onto its match key.
 
-    The Gram identity ||C - K||^2 = ||C||^2 + ||K||^2 - 2 Re<C, K> rules out
-    every pair farther apart than 1/2 at once; its rounding (~1e-14 for
-    entries of size 1) cannot rule out a match.  The few pairs left are
-    decided by the same Frobenius norm as ``_match``.
+    Any unit vector keeps every match in its window; a generic one, such as
+    this, keeps distinct elements apart, so a window holds little else.
     """
-    c = candidates.reshape(len(candidates), -1)
-    k = stack.reshape(len(stack), -1)
-    squared = (
-        np.sum(np.abs(c) ** 2, axis=1)[:, None]
-        + np.sum(np.abs(k) ** 2, axis=1)
-        - 2 * (c @ k.conj().T).real
-    )
-    near_c, near_k = np.nonzero(squared <= tol**2 + 0.25)
-    hits = np.linalg.norm(stack[near_k] - candidates[near_c], axis=(1, 2)) <= tol
-    matched = np.zeros(len(candidates), dtype=bool)
-    matched[near_c[hits]] = True
-    return matched
+    direction = np.sin(np.arange(1, 2 * dim * dim + 1))
+    return direction / np.linalg.norm(direction)
+
+
+class _Elements:
+    """Projectors in discovery order, with the data every match reads.
+
+    Each element's match key (its real row projected on ``_key_direction``)
+    and whether it lies within ``_COMMUTATOR_BOUND`` of idempotent are
+    computed once, for the batch it comes in, and copied with it by
+    :meth:`extend`; the keys are kept sorted, ``by_key`` giving the order.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        self.n = len(stack)
+        self._stack = np.array(stack, dtype=complex)
+        self._keys = _real_rows(self._stack) @ _key_direction(self._stack.shape[-1])
+        self._exact = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= _COMMUTATOR_BOUND
+        self._sort()
+
+    def _sort(self) -> None:
+        self.by_key = np.argsort(self.keys)
+        self.sorted_keys = self.keys[self.by_key]
+
+    @property
+    def stack(self) -> np.ndarray:
+        return self._stack[: self.n]
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._keys[: self.n]
+
+    @property
+    def exact(self) -> np.ndarray:
+        return self._exact[: self.n]
+
+    def extend(self, other: "_Elements", which) -> None:
+        """Append the elements ``which`` of ``other``, with their data."""
+        n = self.n + len(which)
+        if n > len(self._stack):  # capacity at least doubles
+            size = max(n, 2 * len(self._stack), 8)
+            for name in ("_stack", "_keys", "_exact"):
+                old = getattr(self, name)
+                grown = np.empty((size, *old.shape[1:]), dtype=old.dtype)
+                grown[: self.n] = old[: self.n]
+                setattr(self, name, grown)
+        self._stack[self.n : n] = other.stack[which]
+        self._keys[self.n : n] = other.keys[which]
+        self._exact[self.n : n] = other.exact[which]
+        self.n = n
+        self._sort()
+
+
+def _matched(
+    elements: _Elements, candidates: np.ndarray, tol: float = TOL, start: int = 0
+) -> np.ndarray:
+    """Per candidate, the first element from ``start`` on within Frobenius distance ``tol``, or -1.
+
+    A match lies within ``tol`` of the candidate, so its key does too (the
+    key direction is a unit vector).  Rounding moves a key by ~1e-14 for
+    entries of size 1, so a window of twice ``tol`` around the candidate's
+    key, found by bisection in the sorted keys, holds every match.  The few
+    pairs in the windows are decided by the Frobenius norm of their difference.
+    """
+    keys = _real_rows(candidates) @ _key_direction(candidates.shape[-1])
+    lo = np.searchsorted(elements.sorted_keys, keys - 2 * tol)
+    counts = np.searchsorted(elements.sorted_keys, keys + 2 * tol, side="right") - lo
+    near_c = np.repeat(np.arange(len(keys)), counts)
+    windows = np.arange(len(near_c)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    near_k = elements.by_key[windows]
+    near_c, near_k = near_c[near_k >= start], near_k[near_k >= start]
+    hits = np.linalg.norm(elements.stack[near_k] - candidates[near_c], axis=(1, 2)) <= tol
+    first = np.full(len(keys), elements.n)
+    np.minimum.at(first, near_c[hits], near_k[hits])
+    first[first == elements.n] = -1
+    return first
 
 
 def _commuting_matched(
-    stack: np.ndarray, p: np.ndarray, q: np.ndarray, exact: np.ndarray
+    elements: _Elements, p: np.ndarray, q: np.ndarray, exact: np.ndarray
 ) -> np.ndarray:
-    """Which joins and meets (slices 2k and 2k + 1 for pair k) ``stack`` holds, with no SVD.
+    """Which joins and meets (slices 2k and 2k + 1 for pair k) ``elements`` holds, with no SVD.
 
     Only pairs of near-exact projectors that commute are decided; every other
     slice reads False.  ``exact`` says, per pair, whether both ||P^2 - P||_F
-    and ||Q^2 - Q||_F are at most ``_COMMUTATOR_BOUND`` (:func:`_exact`).
+    and ||Q^2 - Q||_F are at most ``_COMMUTATOR_BOUND`` (:class:`_Elements`).
 
     For hermitian P and Q, QP = (PQ)^H, so ||PQ - QP||_F = ||C - C^H||_F with
     C = PQ; the pair is certified when it too is at most the bound, d = TOL / 1000.
@@ -289,50 +352,43 @@ def _commuting_matched(
     below ``TOL``, or near 1 and above, so the ranks ``_spans`` finds are
     those of the commuting pair, and its join and meet lie within O(d) of
     P + Q - M and M, where M = (C + C^H)/2.  A candidate found within
-    ``TOL / 2`` of an element of ``stack`` has its SVD span within
-    TOL / 2 + O(d) < TOL of the same element, so ``_matched`` would drop it
-    as well: this filter never decides a candidate differently, it only
-    skips the SVD of one that would be dropped.  Idempotence is part of the
-    bound because ``validate_projector`` admits an error up to ``TOL``: with
+    ``TOL / 2`` of an element has its SVD span within TOL / 2 + O(d) < TOL
+    of the same element, so ``_matched`` would drop it as well: this filter
+    never decides a candidate differently, it only skips the SVD of one
+    that would be dropped.  Idempotence is part of the bound because
+    ``validate_projector`` admits an error up to ``TOL``: with
     P = (1 - e)|u><u|, P + Q - M lies e from the SVD span, which is too far.
     """
     c = p @ q
-    commuting = np.linalg.norm(c - c.conj().swapaxes(1, 2), axis=(1, 2)) <= _COMMUTATOR_BOUND
-    commuting &= exact
-    matched = np.zeros((len(p), 2), dtype=bool)
-    if commuting.any():
-        c = c[commuting]
-        meets = (c + c.conj().swapaxes(1, 2)) / 2
-        joins = p[commuting] + q[commuting] - meets
-        candidates = np.stack([joins, meets], axis=1).reshape(-1, *c.shape[1:])
-        matched[commuting] = _matched(stack, candidates, TOL / 2).reshape(-1, 2)
-    return matched.ravel()
+    c_h = c.conj().swapaxes(1, 2)
+    commuting = exact & (np.linalg.norm(c - c_h, axis=(1, 2)) <= _COMMUTATOR_BOUND)
+    if not commuting.any():
+        return np.zeros(2 * len(p), dtype=bool)
+    # every pair's join, then every meet; those of uncertified pairs are masked below
+    candidates = np.empty((2, *p.shape), dtype=complex)
+    meets = np.add(c, c_h, out=candidates[1])
+    meets /= 2
+    joins = np.add(p, q, out=candidates[0])
+    joins -= meets
+    found = _matched(elements, candidates.reshape(-1, *p.shape[1:]), TOL / 2) >= 0
+    return (found.reshape(2, -1) & commuting).T.ravel()
 
 
-def _exact(stack: np.ndarray) -> np.ndarray:
-    """Which elements of ``stack`` are within ``_COMMUTATOR_BOUND`` of idempotent."""
-    return np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= _COMMUTATOR_BOUND
-
-
-def _order_and_complement(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusion ``P_i <= P_j`` and the index of each ``I - P_i``, by the rules of ``TOL``.
+def _inclusion(stack: np.ndarray) -> np.ndarray:
+    """Inclusion ``P_i <= P_j`` by the rule of ``TOL``.
 
     Tiles of rows and columns keep their (rows, cols, d, d) transients under
     ``_BLOCK_BYTES``; one matmul of the columns against the rows gives every ``P_j P_i``.
-    Every complement was added to the stack, so each row matches some element.
     """
     n, dim = stack.shape[:2]
-    eye = np.eye(dim)
-    leq, near = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
+    leq = np.empty((n, n), dtype=bool)
     for rows, cols in _tiles(n, n, 2 * dim * dim):
         # block[r, i, c] = (P_i)_rc and products[j, r, i, c] = (P_j P_i)_rc
         block = stack[rows].transpose(1, 0, 2)
         flat = stack[cols].reshape(-1, dim)
         products = (flat @ block.reshape(dim, -1)).reshape(-1, dim, block.shape[1], dim)
         leq[rows, cols] = (np.linalg.norm(products - block, axis=(1, 3)) <= TOL).T
-        complements = (eye - stack[rows])[:, None]
-        near[rows, cols] = np.linalg.norm(stack[cols] - complements, axis=(2, 3)) <= TOL
-    return leq, np.argmax(near, axis=1)  # the first match, as in _match
+    return leq
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,29 +457,59 @@ def projector_lattice(
         raise ValueError("names must match generators one to one")
 
     eye = np.eye(dim, dtype=complex)
-    stack = np.empty((0, dim, dim), dtype=complex)
+    elements = _Elements(np.empty((0, dim, dim)))
     labels: list[str | None] = []
+    complement = np.empty(0, dtype=int)  # the index of each element's I - P, once its round ran
 
-    def add(p: np.ndarray, label: str | None = None) -> int:
-        nonlocal stack
-        p = (p + p.conj().T) / 2
-        i = _match(stack, p)
-        if i is None:
-            if len(labels) >= max_elements:
-                raise ClosureTooLarge(
-                    f"projector closure exceeds {max_elements} elements"
-                )
-            stack = np.concatenate([stack, p[None]])
-            labels.append(label)
-            return len(labels) - 1
-        if labels[i] is None and label is not None:
+    def add(ps: np.ndarray) -> np.ndarray:
+        """Match or append each of ``ps`` in order; its element's index.
+
+        One match against the elements found before the batch decides every
+        candidate that one of them holds: an older element always wins the
+        first match.  One match of the rest against each other gives each the
+        first of them it lies near, if any; when that one was appended it is
+        the candidate's match, and only a candidate whose first neighbour was
+        itself matched is compared with what the batch appended.  So the
+        discovery order and the point where ClosureTooLarge is raised are
+        those of one add per candidate.
+        """
+        ps = (ps + ps.conj().swapaxes(1, 2)) / 2
+        before = elements.n
+        found = _matched(elements, ps) if before else np.full(len(ps), -1)
+        new = np.flatnonzero(found < 0)
+        if not new.size:
+            return found
+        batch = _Elements(ps[new])
+        neighbour = np.arange(len(new))
+        keys = batch.sorted_keys
+        if (keys[1:] - keys[:-1] <= 2 * TOL).any():  # else no two lie within TOL
+            neighbour = _matched(batch, batch.stack)
+        kept: list[int] = []  # of the batch, in order: appended, or about to be
+        appended = np.zeros(len(new), dtype=bool)
+        for t, k in enumerate(new):
+            s = neighbour[t]
+            if s < t and appended[s]:
+                found[k] = found[new[s]]
+                continue
+            if s < t:
+                elements.extend(batch, kept)
+                kept = []
+                found[k] = _matched(elements, ps[k : k + 1], start=before)[0]
+                if found[k] >= 0:
+                    continue
+            if elements.n + len(kept) >= max_elements:
+                raise ClosureTooLarge(f"projector closure exceeds {max_elements} elements")
+            found[k] = elements.n + len(kept)
+            kept.append(t)
+            appended[t] = True
+        elements.extend(batch, kept)
+        labels.extend([None] * (elements.n - len(labels)))
+        return found
+
+    given = ["0", "1", *([None] * len(mats) if names is None else map(str, names))]
+    for i, label in zip(add(np.stack([np.zeros_like(eye), eye, *mats])), given):
+        if labels[i] is None:
             labels[i] = label
-        return i
-
-    add(np.zeros((dim, dim), dtype=complex), "0")
-    add(eye, "1")
-    for k, m in enumerate(mats):
-        add(m, None if names is None else str(names[k]))
 
     # semi-naive rounds: a pair of older elements was combined in an earlier
     # round, so each round combines only pairs that include a newer element.
@@ -431,50 +517,62 @@ def projector_lattice(
     # _commuting_matched drops each commuting pair's join and meet that the
     # elements found before the block already hold, with no SVD, for pairs
     # of near-exact projectors (a generator may be up to TOL from
-    # idempotent).  One SVD stack gives every other join (span of [P Q]) and
-    # meet (by De Morgan, the complement of the span of [I-P I-Q]), then one
-    # match against the same elements drops the candidates they already
-    # hold.  Only the rest go through add(), in order, so the discovery
-    # order, the labels and the point where ClosureTooLarge is raised stay
-    # those of one add() per candidate: an older element always wins the
-    # first match.
-    # A pair's transients (two (d, 2d) inputs, u, vh, two candidates) take
-    # about 256 d^2 bytes, the filter's about 128 d^2; a block keeps them all
-    # under _BLOCK_BYTES.
-    pairs_per_block = max(1, _BLOCK_BYTES // (256 * dim * dim))
+    # idempotent).  A stacked SVD gives every other join (span of [P Q]) and
+    # meet (by De Morgan, the complement of the span of [I-P I-Q]), in
+    # chunks, and add() keeps the new ones in order: the elements, their
+    # order and labels, and the point where ClosureTooLarge is raised are
+    # those of one add per candidate.
+    # A pair's filter transients take about 128 d^2 bytes together, the
+    # largest of them (its join and meet) 32 d^2, and its SVD's (two (d, 2d)
+    # inputs, u, vh, two candidates) about 256 d^2.  A round's first filter
+    # block keeps them all under _BLOCK_BYTES; a block whose candidates were
+    # all dropped doubles the next, up to where the largest alone fills it.
+    # New elements come in bursts, and a small block after one sends few
+    # copies of a new element to the SVD.  Each SVD chunk of a block's
+    # pending slices stays under _BLOCK_BYTES.
+    smallest = max(1, _BLOCK_BYTES // (128 * dim * dim))
+    largest = max(1, _BLOCK_BYTES // (32 * dim * dim))
+    slices_per_chunk = 2 * max(1, _BLOCK_BYTES // (256 * dim * dim))
     eye2 = np.hstack([eye, eye])
     fresh = 0
-    while fresh < len(labels):
-        before = len(labels)
+    while fresh < elements.n:
+        before = elements.n
+        complement = np.concatenate([complement, add(eye - elements.stack[fresh:before])])
         for i in range(fresh, before):
-            j = add(eye - stack[i])
+            j = complement[i]
             if labels[j] is None and labels[i] is not None:
                 labels[j] = "~" + labels[i]
-        near_exact = _exact(stack[:before])
-        left, right = np.triu_indices(before, 1)
-        left, right = left[right >= fresh], right[right >= fresh]
-        for lo in range(0, len(left), pairs_per_block):
-            block = slice(lo, lo + pairs_per_block)
-            firsts, seconds = stack[left[block]], stack[right[block]]
+        # the pairs i < j with j new, in the order of the double loop
+        left, right = np.nonzero(np.arange(before)[:, None] < np.arange(fresh, before))
+        right += fresh
+        size, lo = smallest, 0
+        while lo < len(left):
+            block = slice(lo, lo + size)
+            lo += size
+            firsts, seconds = elements.stack[left[block]], elements.stack[right[block]]
+            exact = elements.exact[left[block]] & elements.exact[right[block]]
             # slice 2k is pair k's join, slice 2k + 1 its meet
-            exact = near_exact[left[block]] & near_exact[right[block]]
-            pending = np.flatnonzero(~_commuting_matched(stack, firsts, seconds, exact))
-            if not pending.size:
-                continue
-            joins = np.concatenate([firsts, seconds], axis=2)
-            slices = np.stack([joins, eye2 - joins], axis=1).reshape(-1, dim, 2 * dim)
-            spans = _spans(slices[pending])
-            meets = pending % 2 == 1
-            spans[meets] = eye - spans[meets]
-            candidates = (spans + spans.conj().swapaxes(1, 2)) / 2
-            for p in candidates[~_matched(stack, candidates)]:
-                add(p)
+            pending = np.flatnonzero(~_commuting_matched(elements, firsts, seconds, exact))
+            for chunk in range(0, len(pending), slices_per_chunk):
+                slices = pending[chunk : chunk + slices_per_chunk]
+                pairs, meets = slices // 2, slices % 2 == 1
+                blocks = np.concatenate([firsts[pairs], seconds[pairs]], axis=2)
+                blocks[meets] = eye2 - blocks[meets]
+                spans = _spans(blocks)
+                spans[meets] = eye - spans[meets]
+                add(spans)
+            size = smallest if pending.size else min(2 * size, largest)
         fresh = before
 
-    order = np.argsort(np.rint(np.trace(stack, axis1=1, axis2=2).real), kind="stable")
-    stack = stack[order]
+    order = np.argsort(np.rint(np.trace(elements.stack, axis1=1, axis2=2).real), kind="stable")
+    stack = elements.stack[order]
     labels = [labels[i] for i in order]
-    leq, ortho = _order_and_complement(stack)
+    # every I - P_i was matched or appended in its round: the first match, in
+    # discovery order, is the first in this order too (matched elements share a rank)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    ortho = position[complement[order]]
+    leq = _inclusion(stack)
 
     final_names: list[str] = []
     seen: set[str] = set()
@@ -647,20 +745,155 @@ def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
 # ---------------------------------------------------------------------------
 # reconstruction from the probability oracle, at the maximally mixed
 # preparation (valid by construction).  Every clause about ``a`` and ``b``
-# starts with ``a`` answered, so each row ``a`` updates the preparation once
-# per answer and reads every ``b`` from those two states, a tile of rows
-# and columns per kernel call.
+# starts with ``a`` answered, so one tiled kernel reads every ``b`` of a block
+# of rows from the states the rows' answers leave, and gives the order and
+# the complement clauses of every pair.  Its probabilities are those of
+# :func:`sequence_probability` rewritten by linearity and cyclicity of the
+# trace, so they differ from them only by rounding; a decision that lands
+# within ``_MARGIN`` of its threshold is taken again from
+# ``sequence_probability``'s own computation, pair by pair.
+
+# rounding moves the kernel's probabilities ~1e-14 for projectors; entries
+# above 1 scale the margin by their fifth power, the most any trace multiplies
+_MARGIN = TOL * 1e-3
 
 
-def _certain(projectors: np.ndarray, sigma: np.ndarray, question) -> np.ndarray:
-    """Is ``question`` certain in the state ``sigma`` that a condition left?
+def _literal_clauses(projectors: np.ndarray, rho: np.ndarray, a: int, b: int) -> tuple[bool, bool]:
+    """``a <= b``, and ``b`` complementing ``a``, from one probability per sequence.
 
-    A null condition, of probability ``tr(sigma) <= TOL``, makes it so.
+    Each probability is the ``_luders`` call that :func:`sequence_probability`
+    makes, so these are the decisions of the per-pair definitions, rounding
+    and all.
     """
-    den = _luders(projectors, sigma, [])
-    num = _luders(projectors, sigma, [question])
-    ratio = np.divide(num, den, out=np.ones_like(num), where=den > TOL)
-    return np.abs(ratio - 1.0) <= TOL
+
+    def probability(*steps) -> float:
+        return float(_luders(projectors, rho, steps))
+
+    def certain(condition, question) -> bool:
+        den = probability(condition)
+        return den <= TOL or abs(probability(condition, question) / den - 1.0) <= TOL
+
+    agree = sum(
+        probability((a, x), (b, y), (a, x)) for x in (True, False) for y in (True, False)
+    )
+    leq = certain((a, True), (b, True)) and abs(min(1.0, agree) - 1.0) <= TOL
+    return leq, certain((a, True), (b, False)) and certain((a, False), (b, True))
+
+
+class _Answered:
+    """What every clause about a block of rows ``a`` reads, for the answers x = true, false.
+
+    With E the effect of x (P_a, or I - P_a) and S = E rho E the state it
+    leaves, all (2, rows, ...): ``effects`` E and ``states`` S;
+    ``conditions`` tr(E rho), the probability of the answer; ``traces``
+    tr(S) and ``after`` tr(E S); ``rows``, the real rows of S^H and of
+    Y^H, Y = S E + E S, whose products with P_b's real row are Re tr(P_b S)
+    and Re tr(P_b Y); and ``lhs``, E and S for both answers laid out
+    (d, 2 rows d) for the products P_b E and P_b S.
+    """
+
+    def __init__(self, block: np.ndarray, rho: np.ndarray):
+        dim = block.shape[-1]
+        self.effects = np.stack([block, np.eye(dim) - block])
+        self.states = self.effects @ rho @ self.effects
+        self.conditions = np.clip(np.einsum("xaij,ji->xa", self.effects, rho).real, 0.0, 1.0)
+        self.traces = np.einsum("xaii->xa", self.states).real
+        self.after = np.einsum("xaij,xaji->xa", self.effects, self.states).real
+        symmetric = self.states @ self.effects + self.effects @ self.states
+        both = np.concatenate([self.states, symmetric]).reshape(-1, dim, dim)
+        self.rows = _real_rows(both.conj().swapaxes(1, 2))
+        # E and S for both answers, each laid out (d, 2 rows d)
+        pairs = np.stack([self.effects, self.states])
+        self.lhs = pairs.transpose(0, 3, 1, 2, 4).reshape(2, dim, -1)
+
+
+def _certainty(num: np.ndarray, den: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether ``num / den`` is certain (a null condition makes it so), and which
+    decisions lie within ``margin`` of ``TOL``, counting the ratio's own rounding."""
+    null = den <= TOL
+    ratio = num / np.where(null, 1.0, den)
+    deviation = np.abs(ratio - 1.0)
+    near = np.abs(den - TOL) <= margin
+    near = near | ~null & (np.abs(deviation - TOL) * den <= margin * (1.0 + np.abs(ratio)))
+    return null | (deviation <= TOL), near
+
+
+def _sandwiches(columns: np.ndarray, answered: _Answered, needed: np.ndarray) -> np.ndarray:
+    """tr(E_a P_b S_a P_b) = tr((P_b E_a)(P_b S_a)) for both answers, rows a and columns b.
+
+    Per chunk of columns with a ``needed`` (rows, cols) entry, two
+    (cols d, d) by (d, 2 rows d) products and one contraction; the two
+    products stay under ``_BLOCK_BYTES`` together.  Other entries are 0.
+    """
+    dim = columns.shape[-1]
+    effects, states = answered.lhs
+    rows = effects.shape[1] // dim
+    step = max(1, _BLOCK_BYTES // (32 * dim * dim * rows))
+    out = np.zeros((rows, len(columns)))
+    wanted = needed.any(axis=0)
+    for lo in range(0, len(columns), step):
+        if not wanted[lo : lo + step].any():
+            continue
+        flat = columns[lo : lo + step].reshape(-1, dim)
+        shape = (-1, dim, rows, dim)
+        products = (flat @ effects).reshape(shape), (flat @ states).reshape(shape)
+        out[:, lo : lo + step] = np.einsum("biaj,bjai->ab", *products).real
+    return out.reshape(2, -1, len(columns))
+
+
+def _clauses(
+    projectors: np.ndarray,
+    rho: np.ndarray,
+    rows: slice,
+    cols: slice,
+    answered: _Answered,
+    margin: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``a <= b`` and ``b`` complementing ``a`` for the tile ``rows`` x ``cols``.
+
+    a <= b: answering a true makes b certain, tr(P_b S) / tr(P_a rho), and the
+    sequences a, b, a give back the first answer with certainty, summed over
+    both answers of each; b complements a: answering a true makes b false
+    certain and answering a false makes b true certain.  The terms with b
+    false come from those with b true by linearity: tr((I - P_b) S) =
+    tr(S) - tr(P_b S), and tr(E (I - P_b) S (I - P_b)) = tr(E S) - tr(P_b Y)
+    + tr(E P_b S P_b).  The sequences a, b, a are read only for the columns
+    where some pair's first clause holds, as the order needs both.
+    """
+    columns = projectors[cols]
+    traced = (answered.rows @ _real_rows(columns).T).reshape(4, -1, len(columns))
+    # a true then b true, a true then b false, a false then b true
+    nums = np.stack([traced[0], answered.traces[0][:, None] - traced[0], traced[1]])
+    dens = answered.conditions[[0, 0, 1], :, None]
+    certain, near = _certainty(np.clip(nums, 0.0, 1.0), dens, margin)
+    implied, comp, near = certain[0], certain[1] & certain[2], near.any(axis=0)
+    sandwiched = _sandwiches(columns, answered, implied & ~near)
+    flipped = answered.after[:, :, None] - traced[2:] + sandwiched
+    agree = np.minimum(1.0, (np.clip(sandwiched, 0.0, 1.0) + np.clip(flipped, 0.0, 1.0)).sum(0))
+    deviation = np.abs(agree - 1.0)
+    leq = implied & (deviation <= TOL)
+    near |= implied & (np.abs(deviation - TOL) <= 4 * margin)
+    for a, b in zip(*np.nonzero(near)):
+        leq[a, b], comp[a, b] = _literal_clauses(projectors, rho, rows.start + a, cols.start + b)
+    return leq, comp
+
+
+def _tiled_clauses(pl: ProjectorLattice, rows: slice = slice(None)):
+    """``(rows, cols, leq, comp)`` per tile of the rows ``rows`` by every column.
+
+    A tile holds about sixteen (rows, cols) float arrays, one word per entry
+    each; a row block's states serve all its column tiles.
+    """
+    projectors, dim = pl.projector_stack, pl.dim
+    rho = maximally_mixed(dim)
+    margin = _MARGIN * max(1.0, float(np.abs(projectors).max(initial=0.0))) ** 5
+    first, last, _ = rows.indices(pl.n)
+    answered_rows = None
+    for block, cols in _tiles(last - first, pl.n, 16):
+        block = slice(block.start + first, block.stop + first)
+        if block != answered_rows:
+            answered, answered_rows = _Answered(projectors[block], rho), block
+        yield block, cols, *_clauses(projectors, rho, block, cols, answered, margin)
 
 
 def infer_order(pl: ProjectorLattice) -> np.ndarray:
@@ -670,32 +903,36 @@ def infer_order(pl: ProjectorLattice) -> np.ndarray:
     the sandwich a, b, a preserves the first answer with certainty, both at
     the maximally mixed preparation.  Must reproduce subspace inclusion.
     """
-    projectors, mm, every = pl.projector_stack, maximally_mixed(pl.dim), np.arange(pl.n)
     leq = np.empty((pl.n, pl.n), dtype=bool)
-    # a tile's largest transient is one (rows, cols, d, d) complex stack: 2 d^2 words per entry
-    answered_rows = None
-    for rows, cols in _tiles(pl.n, pl.n, 2 * pl.dim**2):
-        a = every[rows, None]
-        if rows != answered_rows:  # the column tiles of one row block share its states
-            answered, answered_rows = _answered(projectors, mm, a), rows
-        stable = np.abs(_agreement(projectors, answered, a, cols) - 1.0) <= TOL
-        leq[rows, cols] = _certain(projectors, answered[True], (cols, True)) & stable
+    for rows, cols, order, _ in _tiled_clauses(pl):
+        leq[rows, cols] = order
     return leq
 
 
 def infer_complement(pl: ProjectorLattice, a: int) -> int:
     """The unique element answering opposite to ``a`` with certainty, both ways."""
     _checked_indices(pl.n, (a,))
-    projectors = pl.projector_stack
-    answered = _answered(projectors, maximally_mixed(pl.dim), a)
-    both = np.empty(pl.n, dtype=bool)
-    for _, cols in _tiles(1, pl.n, 2 * pl.dim**2):  # one row of infer_order's tiles
-        flipped = _certain(projectors, answered[True], (cols, False))
-        both[cols] = flipped & _certain(projectors, answered[False], (cols, True))
-    matches = np.flatnonzero(both)
+    tiles = _tiled_clauses(pl, slice(a, a + 1))  # one row of infer_order's kernel
+    matches = np.concatenate([cols.start + np.flatnonzero(comp) for _, cols, _, comp in tiles])
     if not matches.size:
         raise NoComplement(f"no element complements {pl.lattice.names[a]!r}")
     if matches.size > 1:
         names = [pl.lattice.names[b] for b in matches]
         raise NotUnique(f"multiple complements for {pl.lattice.names[a]!r}: {names}")
     return int(matches[0])
+
+
+def _reconstruction(pl: ProjectorLattice) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`infer_order`, and each row's :func:`infer_complement`, in one pass of the kernel.
+
+    A row without exactly one complement reads -1, where ``infer_complement`` raises.
+    """
+    leq = np.empty((pl.n, pl.n), dtype=bool)
+    first = np.full(pl.n, -1)
+    count = np.zeros(pl.n, dtype=int)
+    for rows, cols, order, comp in _tiled_clauses(pl):
+        leq[rows, cols] = order
+        fresh = (count[rows] == 0) & comp.any(axis=1)
+        first[rows][fresh] = cols.start + comp.argmax(axis=1)[fresh]
+        count[rows] += comp.sum(axis=1)
+    return leq, np.where(count == 1, first, -1)
