@@ -80,9 +80,10 @@ class Lattice:
     ortho: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.leq, self.meet, self.join, self.ortho):
-            if arr is not None:
-                arr.setflags(write=False)
+        for name in ("leq", "meet", "join", "ortho"):
+            table = getattr(self, name)
+            if table is not None:
+                object.__setattr__(self, name, _read_only(table))
 
     @property
     def n(self) -> int:
@@ -137,6 +138,23 @@ class PropertyReport:
 
 # ---------------------------------------------------------------------------
 # packed rows
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A view of ``table`` that no caller can make writable again.
+
+    numpy refuses write access to any view of a read-only array, so the
+    array that owns the data is frozen.  A table that views only part of
+    another array is copied first, so that array stays as it was.
+    """
+    owner = table
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if owner.base is not None or owner.size != table.size:
+        table = owner = table.copy()
+    owner.setflags(write=False)
+    table.setflags(write=False)
+    return table.view()
+
 
 # Cap on each transient array of a blocked kernel.  Blocks this size stay in
 # cache, and freeing them leaves glibc's mmap threshold near its 128 KiB

@@ -51,6 +51,7 @@ from .lattice import (
     _BLOCK_BYTES,
     Lattice,
     _checked_indices,
+    _read_only,
     _element_index,
     _tiles,
     lattice_from_leq,
@@ -245,7 +246,7 @@ def _spans(blocks: np.ndarray) -> np.ndarray:
 
 def _real_rows(x: np.ndarray) -> np.ndarray:
     """A complex ``(k, d, d)`` stack as k real rows of 2 d^2 entries, a view where it can be."""
-    return np.ascontiguousarray(x).reshape(len(x), x.shape[1] * x.shape[2]).view(float)
+    return np.ascontiguousarray(x, dtype=complex).reshape(len(x), x.shape[1] * x.shape[2]).view(float)
 
 
 @functools.lru_cache
@@ -416,9 +417,7 @@ class ProjectorLattice:
     @cached_property
     def projector_stack(self) -> np.ndarray:
         """The projectors as one read-only ``(n, d, d)`` array, stacked on first use."""
-        stack = np.stack(self.projectors)  # a copy, so no caller's array is frozen
-        stack.setflags(write=False)
-        return stack
+        return _read_only(np.stack(self.projectors))  # a copy, so no caller's array is frozen
 
 
 def projector_lattice(

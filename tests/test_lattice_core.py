@@ -507,6 +507,10 @@ def test_tables_are_read_only(build):
             table[corner] = table[corner]
         with pytest.raises(ValueError, match="read-only"):
             table += table
+        # the table is a view of a read-only array, so its flag cannot be set back
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            table.setflags(write=True)
+        assert not table.flags.writeable
 
 
 def _boolean_square(left, right):

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import re
 import tracemalloc
 from fractions import Fraction
@@ -45,7 +48,7 @@ from orthologic import (
 )
 from orthologic import quantum
 from orthologic.analysis import compatibility_relation
-from orthologic.cli import QUANTUM_PRESETS
+from orthologic.cli import QUANTUM_PRESETS, main
 from orthologic.quantum import (
     matrix_from_json,
     matrix_to_json,
@@ -661,6 +664,29 @@ def _scaled_rays(draw):
     return generators
 
 
+@settings(max_examples=40, deadline=None)
+@given(generators=st.one_of(_scaled_rays(), _random_rays()))
+def test_reconstruction_of_scaled_rays_matches_luders_oracles(generators):
+    # generators up to TOL from idempotent: reading tr(P rho P) for tr(P rho), or
+    # any other step through P^2 = P, moves a probability by about TOL and flips
+    # a decision the per-pair oracles take; eps at 0.5 TOL and TOL exactly puts
+    # decisions on their threshold, where only the oracles' own rounding decides
+    try:
+        pl = projector_lattice(generators, max_elements=32)
+    except OrthologicError:
+        return
+
+    def outcome(infer, a):  # a row may have no complement, or several
+        try:
+            return infer(pl, a)
+        except (NoComplement, NotUnique) as exc:
+            return type(exc), str(exc)
+
+    assert np.array_equal(infer_order(pl), oracles.luders_infer_order(pl))
+    for a in range(pl.n):
+        assert outcome(infer_complement, a) == outcome(oracles.luders_infer_complement, a)
+
+
 def _inexact_commuting():
     # P + Q lies 4.5e-10 from X, but the span of P and Q lies 1.007e-9 from it
     eps, t = 0.9e-9, 3.2e-10
@@ -703,6 +729,42 @@ def test_commuting_filter_changes_no_closure(inputs, data):
     _assert_same_outcome(filtered, unfiltered)
 
 
+def test_quantum_cli_reads_the_round_trip_in_one_pass(tmp_path, monkeypatch):
+    # B64: every complement comes from the one pass that gives the order, each
+    # tile of it once, and each closure element's match data is computed once,
+    # for the batch it came in; only the few copies of a new element that one
+    # batch brings share that work, where recomputing it per match would cost
+    # thousands of rows
+    mats = _commuting_rays(6, 0)
+    path = tmp_path / "b64.json"
+    path.write_text(json.dumps({"generators": [matrix_to_json(m) for m in mats]}))
+    calls, cover, computed, appended = [], np.zeros((64, 64), dtype=int), [], []
+    real_clauses, real_init, real_extend = quantum._clauses, quantum._Elements.__init__, quantum._Elements.extend
+
+    def clauses(projectors, rho, rows, cols, *rest):
+        cover[rows, cols] += 1
+        return real_clauses(projectors, rho, rows, cols, *rest)
+
+    def init(self, stack):
+        computed.append(len(stack))
+        real_init(self, stack)
+
+    def extend(self, other, which):
+        appended.append(len(which))
+        real_extend(self, other, which)
+
+    monkeypatch.setattr(quantum, "infer_complement", lambda *args: calls.append(args))
+    monkeypatch.setattr(quantum, "_clauses", clauses)
+    monkeypatch.setattr(quantum._Elements, "__init__", init)
+    monkeypatch.setattr(quantum._Elements, "extend", extend)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["quantum", "--generators", str(path)]) == 0
+    results = json.loads(out.getvalue())["results"]
+    assert results["size"] == 64 and results["order_roundtrip"] and results["complement_roundtrip"]
+    assert calls == [] and (cover == 1).all()
+    assert sum(appended) == 64 and 64 <= sum(computed) < 2 * 64  # 85 measured
+
+
 def test_projector_stack_is_stacked_once_and_read_only(zx):
     stack = zx.projector_stack
     assert stack is zx.projector_stack
@@ -725,6 +787,9 @@ def test_closure_tables_and_stack_are_read_only(request, name):
             table[corner] = table[corner]
         with pytest.raises(ValueError, match="read-only"):
             table += table
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            table.setflags(write=True)
+        assert not table.flags.writeable
 
 
 def test_closure_blocks_bound_memory():
