@@ -25,15 +25,18 @@ that scale:
 - certainty: a conditional probability ``num / den`` is certain when
   ``|num / den - 1| <= TOL``;
 - null condition: a condition with probability ``den <= TOL`` makes every
-  question certain.
+  question certain;
+- reconstruction: the tiled kernel's probabilities differ from those of
+  :func:`sequence_probability` only by rounding, so a decision within
+  ``_MARGIN`` (``TOL / 1000``) of its threshold is taken again from
+  ``sequence_probability``'s own computation.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -249,7 +252,7 @@ def _real_rows(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=complex).reshape(len(x), x.shape[1] * x.shape[2]).view(float)
 
 
-@functools.lru_cache
+@lru_cache
 def _key_direction(dim: int) -> np.ndarray:
     """The unit vector of 2 d^2 reals that projects a real row onto its match key.
 
@@ -752,8 +755,8 @@ def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
 # within ``_MARGIN`` of its threshold is taken again from
 # ``sequence_probability``'s own computation, pair by pair.
 
-# rounding moves the kernel's probabilities ~1e-14 for projectors; entries
-# above 1 scale the margin by their fifth power, the most any trace multiplies
+# rounding moves the kernel's probabilities by ~1e-14 for projectors; entries
+# above 1 scale the margin by their fifth power, as a trace multiplies at most five
 _MARGIN = TOL * 1e-3
 
 
@@ -812,8 +815,9 @@ def _certainty(num: np.ndarray, den: np.ndarray, margin: float) -> tuple[np.ndar
     null = den <= TOL
     ratio = num / np.where(null, 1.0, den)
     deviation = np.abs(ratio - 1.0)
-    near = np.abs(den - TOL) <= margin
-    near = near | ~null & (np.abs(deviation - TOL) * den <= margin * (1.0 + np.abs(ratio)))
+    near = (np.abs(den - TOL) <= margin) | (
+        ~null & (np.abs(deviation - TOL) * den <= margin * (1.0 + np.abs(ratio)))
+    )
     return null | (deviation <= TOL), near
 
 
