@@ -273,10 +273,9 @@ class _Elements:
     """
 
     def __init__(self, stack: np.ndarray):
-        self.n = len(stack)
-        self._stack = np.array(stack, dtype=complex)
-        self._keys = _real_rows(self._stack) @ _key_direction(self._stack.shape[-1])
-        self._exact = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= _COMMUTATOR_BOUND
+        self.stack = np.array(stack, dtype=complex)
+        self.keys = _real_rows(self.stack) @ _key_direction(self.stack.shape[-1])
+        self.exact = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= _COMMUTATOR_BOUND
         self._sort()
 
     def _sort(self) -> None:
@@ -284,31 +283,14 @@ class _Elements:
         self.sorted_keys = self.keys[self.by_key]
 
     @property
-    def stack(self) -> np.ndarray:
-        return self._stack[: self.n]
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self._keys[: self.n]
-
-    @property
-    def exact(self) -> np.ndarray:
-        return self._exact[: self.n]
+    def n(self) -> int:
+        return len(self.stack)
 
     def extend(self, other: "_Elements", which) -> None:
         """Append the elements ``which`` of ``other``, with their data."""
-        n = self.n + len(which)
-        if n > len(self._stack):  # capacity at least doubles
-            size = max(n, 2 * len(self._stack), 8)
-            for name in ("_stack", "_keys", "_exact"):
-                old = getattr(self, name)
-                grown = np.empty((size, *old.shape[1:]), dtype=old.dtype)
-                grown[: self.n] = old[: self.n]
-                setattr(self, name, grown)
-        self._stack[self.n : n] = other.stack[which]
-        self._keys[self.n : n] = other.keys[which]
-        self._exact[self.n : n] = other.exact[which]
-        self.n = n
+        self.stack = np.concatenate([self.stack, other.stack[which]])
+        self.keys = np.concatenate([self.keys, other.keys[which]])
+        self.exact = np.concatenate([self.exact, other.exact[which]])
         self._sort()
 
 
