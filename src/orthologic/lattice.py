@@ -110,6 +110,23 @@ class Lattice:
         return f"<{kind} n={self.n} names={list(self.names)!r}>"
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A view of ``table`` that no caller can make writable again.
+
+    numpy refuses write access to any view of a read-only array, so the
+    array that owns the data is frozen.  A table that views only part of
+    another array, or memory no array owns, is copied first.
+    """
+    owner = table
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if owner.base is not None or owner.size != table.size:
+        table = owner = table.copy()
+    owner.setflags(write=False)
+    table.setflags(write=False)
+    return table.view()
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """Outcome of the structural scans.
@@ -138,23 +155,6 @@ class PropertyReport:
 
 # ---------------------------------------------------------------------------
 # packed rows
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    """A view of ``table`` that no caller can make writable again.
-
-    numpy refuses write access to any view of a read-only array, so the
-    array that owns the data is frozen.  A table that views only part of
-    another array is copied first, so that array stays as it was.
-    """
-    owner = table
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    if owner.base is not None or owner.size != table.size:
-        table = owner = table.copy()
-    owner.setflags(write=False)
-    table.setflags(write=False)
-    return table.view()
-
 
 # Cap on each transient array of a blocked kernel.  Blocks this size stay in
 # cache, and freeing them leaves glibc's mmap threshold near its 128 KiB

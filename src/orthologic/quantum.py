@@ -54,8 +54,8 @@ from .lattice import (
     _BLOCK_BYTES,
     Lattice,
     _checked_indices,
-    _read_only,
     _element_index,
+    _read_only,
     _tiles,
     lattice_from_leq,
 )
@@ -249,7 +249,8 @@ def _spans(blocks: np.ndarray) -> np.ndarray:
 
 def _real_rows(x: np.ndarray) -> np.ndarray:
     """A complex ``(k, d, d)`` stack as k real rows of 2 d^2 entries, a view where it can be."""
-    return np.ascontiguousarray(x, dtype=complex).reshape(len(x), x.shape[1] * x.shape[2]).view(float)
+    rows = np.ascontiguousarray(x, dtype=complex).reshape(len(x), x.shape[1] * x.shape[2])
+    return rows.view(float)
 
 
 @lru_cache
@@ -260,7 +261,7 @@ def _key_direction(dim: int) -> np.ndarray:
     this, keeps distinct elements apart, so a window holds little else.
     """
     direction = np.sin(np.arange(1, 2 * dim * dim + 1))
-    return direction / np.linalg.norm(direction)
+    return _read_only(direction / np.linalg.norm(direction))  # one array, shared by every call
 
 
 class _Elements:

@@ -739,7 +739,8 @@ def test_quantum_cli_reads_the_round_trip_in_one_pass(tmp_path, monkeypatch):
     path = tmp_path / "b64.json"
     path.write_text(json.dumps({"generators": [matrix_to_json(m) for m in mats]}))
     calls, cover, computed, appended = [], np.zeros((64, 64), dtype=int), [], []
-    real_clauses, real_init, real_extend = quantum._clauses, quantum._Elements.__init__, quantum._Elements.extend
+    real_clauses = quantum._clauses
+    real_init, real_extend = quantum._Elements.__init__, quantum._Elements.extend
 
     def clauses(projectors, rho, rows, cols, *rest):
         cover[rows, cols] += 1
