@@ -46,7 +46,7 @@ from orthologic import (
     z0,
     z1,
 )
-from orthologic import quantum
+from orthologic import cli, quantum
 from orthologic.analysis import compatibility_relation
 from orthologic.cli import QUANTUM_PRESETS, main
 from orthologic.quantum import (
@@ -754,7 +754,8 @@ def test_quantum_cli_reads_the_round_trip_in_one_pass(tmp_path, monkeypatch):
         appended.append(len(which))
         real_extend(self, other, which)
 
-    monkeypatch.setattr(quantum, "infer_complement", lambda *args: calls.append(args))
+    for module in (quantum, cli):
+        monkeypatch.setattr(module, "infer_complement", lambda *args: calls.append(args))
     monkeypatch.setattr(quantum, "_clauses", clauses)
     monkeypatch.setattr(quantum._Elements, "__init__", init)
     monkeypatch.setattr(quantum._Elements, "extend", extend)
