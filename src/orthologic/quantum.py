@@ -274,7 +274,7 @@ class _Elements:
     """
 
     def __init__(self, stack: np.ndarray):
-        self.stack = np.array(stack, dtype=complex)
+        self.stack = np.asarray(stack, dtype=complex)
         self.keys = _real_rows(self.stack) @ _key_direction(self.stack.shape[-1])
         self.exact = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= _COMMUTATOR_BOUND
         self._sort()
@@ -889,10 +889,7 @@ def infer_order(pl: ProjectorLattice) -> np.ndarray:
     the sandwich a, b, a preserves the first answer with certainty, both at
     the maximally mixed preparation.  Must reproduce subspace inclusion.
     """
-    leq = np.empty((pl.n, pl.n), dtype=bool)
-    for rows, cols, order, _ in _tiled_clauses(pl):
-        leq[rows, cols] = order
-    return leq
+    return _reconstruction(pl)[0]
 
 
 def infer_complement(pl: ProjectorLattice, a: int) -> int:
