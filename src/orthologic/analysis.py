@@ -25,6 +25,7 @@ from .lattice import (
     Lattice,
     _central,
     _checked_indices,
+    _identity_columns,
     _identity_holds,
     _orthomodular_witness,
     generated_sublattice,
@@ -166,6 +167,6 @@ def check_incompatible_lemma(
     up = np.flatnonzero(lattice.leq[a])  # a and the elements above it
     # holds[c, j]: c is compatible with up[j], by symmetry row up[j] of the
     # relation; a's own row never holds where it fails
-    holds = _identity_holds(lattice, np.arange(lattice.n)[:, None], up)
+    holds = _identity_columns(lattice, up)
     j, c = np.argwhere(holds.T & ~holds[:, np.searchsorted(up, a)])[0]
     return False, (a, int(up[j]), int(c))

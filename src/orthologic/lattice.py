@@ -19,7 +19,13 @@ covers.  The structural scans evaluate the compatibility identity
 the comparable pairs, the center at the atoms, and distributivity
 (Foulis-Holland) in part of one row; every triple is scanned only on other
 lattices.  Elements are identified by index; names are display metadata.
-No floating point is used in this module.
+The meet and join tables hold indices in the narrowest unsigned dtype,
+np.min_scalar_type(n - 1): uint8 up to 256 elements, uint16 up to 65,536.
+Every flat index x * n + y into an n x n table is computed in intp
+(:func:`_flat`), since numpy 1.x and 2.x promote a narrow array times n
+differently and both wrap silently.  Lattices built from covers, documents
+included, are capped at 5,000 elements.  No floating point is used in this
+module.
 """
 
 from __future__ import annotations
@@ -244,6 +250,21 @@ def _true_pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(m), m.shape[1])
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype holding every index of n elements: the tables' dtype."""
+    return np.min_scalar_type(n - 1)
+
+
+def _flat(rows: np.ndarray, n: int) -> np.ndarray:
+    """``rows * n`` in intp, the row part of flat indices into an n x n table.
+
+    Tables hold uint8 or uint16, where the product would wrap, and numpy 1.x
+    (value-based casting) and 2.x (NEP 50) promote a narrow array times a
+    Python int differently, so the dtype is never left to promotion.
+    """
+    return np.multiply(rows, n, dtype=np.intp)
+
+
 def _cover_pairs(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hasse covers (lo, hi) of a partial order, ``strict & ~strict²``, in row order."""
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
@@ -272,18 +293,25 @@ def _meet_join_tables(
     return meet, join, None
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of ``values`` starts (``np.diff`` costs more)."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
 def _heights(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Longest chain of pairs (lo, hi) ending at each element, by rounds of relaxation."""
     by_hi = np.argsort(hi, kind="stable")
     lo, hi = lo[by_hi], hi[by_hi]
-    firsts = np.flatnonzero(np.diff(hi, prepend=-1))
+    firsts = _run_starts(hi)
     height = np.zeros(n, dtype=np.int64)
     if not lo.size:
         return height
     while True:
         grown = height.copy()
         grown[hi[firsts]] = np.maximum.reduceat(height[lo], firsts) + 1
-        if np.array_equal(grown, height):
+        if not (grown != height).any():
             return height
         height = grown
 
@@ -300,11 +328,12 @@ def _glb_table(leq: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     unsigned dtype, in chunks of pairs whose rows fit the block cap.  A
     chunk's pairs are sorted by target, and the maximum over each run of
     one target is taken by doubling: after the step of span s, a row holds
-    the maximum of the next 2s rows of its run.
+    the maximum of the next 2s rows of its run.  The ranks are then mapped
+    to indices in place, so the table keeps that dtype.
     """
     n = leq.shape[0]
     by_rank = np.argsort(np.count_nonzero(leq, axis=0), kind="stable")
-    rank = np.empty(n, dtype=np.min_scalar_type(n - 1))
+    rank = np.empty(n, dtype=_index_dtype(n))
     rank[by_rank] = np.arange(n)
     # 0 where a is not <= b: the bottom's rank; rows contiguous even for leq.T
     table = np.multiply(leq, rank[:, None], order="C")
@@ -312,7 +341,7 @@ def _glb_table(leq: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     order = np.lexsort((hi, level))  # by height, then by target
     lo, hi, level = lo[order], hi[order], level[order]
     step = max(1, _BLOCK_BYTES // (table.itemsize * n))
-    cuts = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), lo.size]
+    cuts = [*_run_starts(level).tolist(), lo.size]
     for start, stop in zip(cuts, cuts[1:]):
         for first in range(start, stop, step):
             chunk = slice(first, min(first + step, stop))
@@ -325,13 +354,13 @@ def _glb_table(leq: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
                 later = best[span:] * same[:, None].astype(best.dtype)  # 0 past the run
                 np.maximum(best[:-span], later, out=best[:-span])
                 span *= 2
-            firsts = np.flatnonzero(np.diff(targets, prepend=-1))
+            firsts = _run_starts(targets)
             rows = targets[firsts]
             table[rows] = np.maximum(table[rows], best[firsts])
-    meet = np.empty((n, n), dtype=np.int64)
-    for block in _row_blocks(n, n, 1):
-        meet[block] = by_rank[table[block].astype(np.intp)]
-    return meet
+    of_rank = by_rank.astype(table.dtype)
+    for block in _row_blocks(n, n, 1):  # ranks to indices, in place
+        table[block] = of_rank.take(table[block])
+    return table
 
 
 def _glb_certified(leq: np.ndarray, meet: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -346,7 +375,7 @@ def _glb_certified(leq: np.ndarray, meet: np.ndarray, lo: np.ndarray, hi: np.nda
     flat = leq.reshape(-1)
     step = max(1, _BLOCK_BYTES // (8 * n))
     for first in range(0, lo.size, step):
-        cell = meet.take(lo[first : first + step], axis=0) * n
+        cell = _flat(meet.take(lo[first : first + step], axis=0), n)
         cell += meet.take(hi[first : first + step], axis=0)
         if not flat.take(cell).all():
             return False
@@ -383,9 +412,9 @@ def _bound_witness(leq: np.ndarray) -> tuple[int, int] | None:
 def _mirrored(meet: np.ndarray, mirror: np.ndarray) -> np.ndarray:
     """The join table mirror[meet[mirror[a], mirror[b]]], gathered in row blocks."""
     n = meet.shape[0]
-    join = np.empty_like(meet)
+    join, narrow = np.empty_like(meet), mirror.astype(meet.dtype)
     for block in _row_blocks(n, n, 1):
-        join[block] = mirror.take(meet.take(mirror[block], axis=0).take(mirror, axis=1))
+        join[block] = narrow.take(meet.take(mirror[block], axis=0).take(mirror, axis=1))
     return join
 
 
@@ -433,14 +462,19 @@ def _orthomodular_witness(lattice: Lattice) -> tuple[int, int] | None:
     """First a <= b with b != a v (~a ^ b), or dual a != b ^ (~b v a), or ``None``.
 
     For a <= b :func:`_identity_holds` at (a, b) is the law and at (~b, ~a)
-    the dual, so only the comparable pairs are evaluated, in row-major order.
+    the dual, so only the comparable pairs are evaluated, in row-major order,
+    law and dual in one call per chunk of pairs.
     """
-    o = lattice.ortho
-    a, b = np.divmod(np.flatnonzero(lattice.leq), lattice.n)
-    bad = ~(_identity_holds(lattice, a, b) & _identity_holds(lattice, o[b], o[a]))
-    if bad.any():
-        i = int(np.argmax(bad))
-        return (int(a[i]), int(b[i]))
+    n, o = lattice.n, lattice.ortho
+    pairs = np.flatnonzero(lattice.leq)
+    step = _BLOCK_BYTES // 16  # a chunk's law and dual indices fit the cap
+    for first in range(0, pairs.size, step):
+        a, b = np.divmod(pairs[first : first + step], n)
+        holds = _identity_holds(lattice, np.concatenate((a, o[b])), np.concatenate((b, o[a])))
+        bad = ~holds.reshape(2, -1).all(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            return (int(a[i]), int(b[i]))
     return None
 
 
@@ -452,20 +486,25 @@ def _distributive_witness(
     ``members`` is a sorted index array (default: every element) closed
     under meet and join; the scan holds one a-slice of the law at a time.
     ``rows`` (default: ``members``) limits the a-slices scanned, and ``stop``
-    (default: none) each slice to b among the first ``stop`` members.
+    (default: none) each slice to b among the first ``stop`` members.  The
+    law is symmetric in b and c, so a slice's first violation has b <= c:
+    the b go in blocks that fit the block cap, each scanned only against
+    the c from the block's first b on.
     """
-    n, flat_join = meet.shape[0], join.ravel()
+    bc_join = (join if members is None else join[np.ix_(members, members)])[:stop]
+    if bc_join.size * 8 <= _BLOCK_BYTES:  # cast to intp once, not in every take
+        bc_join = bc_join.astype(np.intp)
     if members is None:
-        members, bc_join = np.arange(n), join
-    else:
-        bc_join = join[np.ix_(members, members)]
-    bc_join = bc_join[:stop]
+        members = np.arange(meet.shape[0])
+    blocks = list(_row_blocks(len(bc_join), len(members), 1))
     for a in members if rows is None else rows:
         ab = meet[a].take(members)
-        bad = meet[a].take(bc_join) != flat_join.take(ab[:stop, None] * n + ab)
-        if bad.any():
-            b, c = np.argwhere(bad)[0]
-            return (int(a), int(members[b]), int(members[c]))
+        for block in blocks:
+            lo = block.start
+            bad = meet[a].take(bc_join[block, lo:]) != join[ab[block]][:, ab[lo:]]
+            if bad.any():
+                b, c = np.argwhere(bad)[0]
+                return (int(a), int(members[lo + b]), int(members[lo + c]))
     return None
 
 
@@ -473,23 +512,35 @@ def _identity_holds(lattice: Lattice, a=None, b=None) -> np.ndarray:
     """(a ^ b) v (~a ^ b) == b at index arrays ``a`` and ``b``, broadcast together.
 
     Omitted, they are every pair, as an n x n matrix with ``a`` down the
-    rows; ``meet`` is then read in place and gathered by rows, the faster
-    way for the whole table, and otherwise through flat indices, the faster
-    way for index arrays.  (a ^ b, ~a ^ b) is one flat index into ``join``.
-    On an orthomodular lattice the identity is compatibility of a and b,
-    which is symmetric.
+    rows, filled in row blocks that fit the cap; ``meet`` is then read in
+    place and gathered by rows, the faster way for the whole table, and
+    otherwise through flat indices, the faster way for index arrays, which
+    callers keep within the cap (see :func:`_identity_columns`).
+    (a ^ b, ~a ^ b) is one flat index into ``join``.  On an orthomodular
+    lattice the identity is compatibility of a and b, which is symmetric.
     """
-    n, meet, ortho = lattice.n, lattice.meet, lattice.ortho
-    if a is None:
-        b = np.arange(n)
-        lower = meet * n
-        lower += meet[ortho]
-    else:
+    n, meet, ortho, flat_join = lattice.n, lattice.meet, lattice.ortho, lattice.join.ravel()
+    if a is not None:
         flat = meet.ravel()
-        lower = flat.take(a * n + b) * n + flat.take(ortho.take(a) * n + b)
-    joined = lattice.join.ravel().take(lower)
-    del lower  # one n x n int64 array fewer held by the comparison
-    return joined == b
+        lower = _flat(flat.take(_flat(a, n) + b), n)
+        lower += flat.take(_flat(ortho.take(a), n) + b)
+        return flat_join.take(lower) == b
+    b = np.arange(n)
+    holds = np.empty((n, n), dtype=bool)
+    for block in _row_blocks(n, n, 1):
+        lower = _flat(meet[block], n)
+        lower += meet[ortho[block]]
+        np.equal(flat_join.take(lower), b, out=holds[block])
+    return holds
+
+
+def _identity_columns(lattice: Lattice, columns: np.ndarray) -> np.ndarray:
+    """:func:`_identity_holds` at every a (rows) and each b of ``columns``, in row blocks."""
+    every = np.arange(lattice.n)[:, None]
+    holds = np.empty((lattice.n, len(columns)), dtype=bool)
+    for block in _row_blocks(lattice.n, len(columns), 1):
+        holds[block] = _identity_holds(lattice, every[block], columns)
+    return holds
 
 
 def _atoms(lattice: Lattice) -> np.ndarray:
@@ -504,8 +555,7 @@ def _central(lattice: Lattice) -> np.ndarray:
     finite one every element is the join of the atoms below it, so c is
     compatible with everything once it is compatible with every atom.
     """
-    every = np.arange(lattice.n)[:, None]
-    return _identity_holds(lattice, every, _atoms(lattice)).all(axis=1)
+    return _identity_columns(lattice, _atoms(lattice)).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +708,8 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
     The closure of the covers is reflexive and transitive by construction,
     and the cycle check proves it antisymmetric, so the order axioms are not
     checked again.  Redundant pairs (lo < hi, but not a cover) are allowed.
+    More than 5,000 elements raise :class:`TooLarge` once the indices and
+    self-covers are checked, before any n x n array exists.
     """
     names = tuple(names)
     _checked_indices(len(names), (i for pair in (*cover_pairs, *ortho_pairs) for i in pair))
@@ -670,13 +722,24 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
     return _from_covers(names, lows, highs, ortho_pairs)
 
 
+# Elements of a lattice built from covers: the 1,024-block Greechie ring
+# (4,098) with room, and far inside uint16 tables.  Parsing and classifying
+# a 4,998-element ring peaks at 178 MB RSS.
+_MAX_COVERED = 5000
+
+
 def _from_covers(names, lows, highs, ortho_pairs) -> Lattice:
     """Certify the lattice of covers whose indices are in range and not self-covers.
 
-    The names are checked after the order and the ortho pairs, as
+    More than 5,000 elements raise :class:`TooLarge` before any n x n array
+    exists.  The names are checked after the order and the ortho pairs, as
     :func:`lattice_from_covers` has always reported them.
     """
     n = len(names)
+    if n > _MAX_COVERED:
+        raise TooLarge(
+            f"{n} elements exceeds the {_MAX_COVERED}-element cap on lattices built from covers"
+        )
     leq = _closure_of_covers(n, zip(lows, highs))
     cyc = leq & leq.T & ~np.eye(n, dtype=bool)
     if cyc.any():
@@ -720,6 +783,9 @@ def parse_lattice(text: str) -> Lattice:
     are cross-checked against the inferred ones.  Names are split on
     whitespace after ``#`` is cut and checked printable and distinct line by
     line, so the builder's own name check never fails on a parsed document.
+    A document of more than 5,000 elements raises :class:`TooLarge` once
+    every line is read (so a faulty line is still the error reported),
+    before any n x n array exists.
     """
     names: list[str] = []
     index: dict[str, int] = {}
@@ -873,8 +939,8 @@ def generated_sublattice(lattice: Lattice, seed) -> tuple[int, ...]:
     inside[[*members, lattice.bottom, lattice.top]] = True
     while True:
         current = np.flatnonzero(inside)
-        grid = np.ix_(current, current)
-        inside[lattice.meet[grid]] = inside[lattice.join[grid]] = True
+        for table in (lattice.meet, lattice.join):  # as intp: narrow indices cast slowly
+            inside[table.take(current, axis=0).take(current, axis=1).astype(np.intp)] = True
         if lattice.ortho is not None:
             inside[lattice.ortho[current]] = True
         if np.count_nonzero(inside) == current.size:
@@ -928,10 +994,11 @@ def direct_product(first: Lattice, second: Lattice) -> Lattice:
         )
     names = tuple(f"({a},{b})" for a in first.names for b in second.names)
     _check_names(names)
-    n, n2 = len(names), second.n
+    n, n2, dtype = len(names), second.n, _index_dtype(len(names))
 
-    def index(i, j):
-        return i * n2 + j
+    def index(i, j):  # in the product's table dtype, which holds every index
+        row = np.multiply(i, n2, dtype=dtype, casting="unsafe")
+        return np.add(row, j, dtype=dtype, casting="unsafe")
 
     def pairwise(op, x, y):  # op(x[i, k], y[j, l]) at (index(i, j), index(k, l))
         return op(x[:, None, :, None], y[None, :, None, :]).reshape(n, n)
@@ -941,9 +1008,9 @@ def direct_product(first: Lattice, second: Lattice) -> Lattice:
         pairwise(np.logical_and, first.leq, second.leq),
         pairwise(index, first.meet, second.meet),
         pairwise(index, first.join, second.join),
-        index(first.bottom, second.bottom),
-        index(first.top, second.top),
-        index(first.ortho[:, None], second.ortho[None, :]).ravel(),
+        first.bottom * n2 + second.bottom,
+        first.top * n2 + second.top,
+        (first.ortho[:, None] * n2 + second.ortho[None, :]).ravel(),
     )
 
 

@@ -9,12 +9,14 @@ public probability oracle one (a, b) pair at a time.  The protocol oracle
 draws every random stream in every chunk.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from orthologic import (
     ClosureTooLarge,
+    Lattice,
     NoComplement,
     NotUnique,
     lattice_from_covers,
@@ -404,6 +406,43 @@ def relabelled(lat, rng):
     names = [lat.names[i] for i in perm]
     ortho = None if lat.ortho is None else np.argsort(perm)[lat.ortho[perm]]
     return lattice_from_leq(names, lat.leq[np.ix_(perm, perm)], ortho)
+
+
+def mo_lattice(k):
+    """MO_k from its covers: k complementary pairs ai, ai' of atoms between 0 and 1 (n = 2k + 2)."""
+    names = ["0", *(f"a{i}{mark}" for i in range(k) for mark in ("", "'")), "1"]
+    top = len(names) - 1
+    cover_pairs = [(0, x) for x in range(1, top)] + [(x, top) for x in range(1, top)]
+    ortho_pairs = [(0, top), *((x, x + 1) for x in range(1, top, 2))]
+    return lattice_from_covers(names, cover_pairs, ortho_pairs)
+
+
+def widened(lat):
+    """The same lattice with int64 copies of its meet and join tables, built unchecked."""
+    return Lattice(
+        lat.names,
+        lat.leq,
+        lat.meet.astype(np.int64),
+        lat.join.astype(np.int64),
+        lat.bottom,
+        lat.top,
+        lat.ortho,
+    )
+
+
+def height_state(lat):
+    """Each element's height over the top's, as Fractions: a state when the lattice is modular.
+
+    The height of a modular lattice is a valuation, h(a) + h(b) = h(a ^ b) + h(a v b),
+    and only the top has height h(top).
+    """
+    strict = lat.leq & ~np.eye(lat.n, dtype=bool)
+    height = np.zeros(lat.n, dtype=np.int64)
+    while True:
+        grown = np.where(strict, height[:, None] + 1, 0).max(axis=0)
+        if np.array_equal(grown, height):
+            return [Fraction(int(h), int(height[lat.top])) for h in height]
+        height = grown
 
 
 def exhaustive_decomposition_exists(lat, a, b):

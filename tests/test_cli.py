@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orthologic import catalog, direct_product, parse_lattice, serialize_lattice
+from orthologic import lattice as lattice_module
 from orthologic.cli import build_parser, main
 from orthologic.reporting import REPORT_SCHEMA
 
@@ -455,16 +456,12 @@ def _limit_address_space():  # runs in the child only
     resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
 
-def test_product_above_the_cap_ends_in_a_report_under_400_mb(tmp_path):
-    # B8^3 x B8^3 has 262,144 elements: its order table alone would be 64 GiB
-    cube = serialize_lattice(functools.reduce(direct_product, [catalog("B8")] * 3))
-    paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
-    for path in paths:
-        path.write_text(cube)
+def _refused_under_400_mb(*argv) -> str:
+    """Run the CLI in a child under a 400 MB address space; the error of its exit-2 report."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     child = subprocess.run(
-        [sys.executable, "-m", "orthologic", "product", *map(str, paths)],
+        [sys.executable, "-m", "orthologic", *map(str, argv)],
         capture_output=True,
         text=True,
         env=env,
@@ -475,7 +472,30 @@ def test_product_above_the_cap_ends_in_a_report_under_400_mb(tmp_path):
     report = json.loads(child.stdout)
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["exit_code"] == 2
-    assert report["error"].startswith("TooLarge: direct product of 512 x 512")
+    return report["error"]
+
+
+def test_product_above_the_cap_ends_in_a_report_under_400_mb(tmp_path):
+    # B8^3 x B8^3 has 262,144 elements: its order table alone would be 64 GiB
+    cube = serialize_lattice(functools.reduce(direct_product, [catalog("B8")] * 3))
+    paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
+    for path in paths:
+        path.write_text(cube)
+    error = _refused_under_400_mb("product", *paths)
+    assert error.startswith("TooLarge: direct product of 512 x 512")
+
+
+def test_document_above_the_cap_ends_in_a_report_under_400_mb(tmp_path):
+    # 0 < a < 1 for every other element: one element more than the cap
+    n = lattice_module._MAX_COVERED + 1
+    atoms = [f"a{i}" for i in range(n - 2)]
+    path = tmp_path / "wide.lat"
+    path.write_text(
+        "elements 0 1 " + " ".join(atoms) + "\n"
+        + "".join(f"cover 0 {a}\ncover {a} 1\n" for a in atoms)
+    )
+    error = _refused_under_400_mb("check", path)
+    assert error.startswith(f"TooLarge: {n} elements exceeds the {n - 1}-element cap")
 
 
 def test_detect_rejects_bad_fraction(capsys):

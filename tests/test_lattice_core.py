@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 from unittest import mock
@@ -16,21 +17,31 @@ from orthologic import (
     CycleError,
     NotALattice,
     NotClosed,
+    OrthologicError,
     ParseError,
     TooLarge,
     UnknownName,
     catalog,
+    center,
     check_incompatible_lemma,
     classify,
+    compatibility_relation,
+    compatible_decomposition,
+    compatible_via_definition,
     covers,
     direct_product,
     generated_sublattice,
+    incompatibility_witness,
     is_distributive_subset,
     is_order_isomorphic,
+    is_state,
     lattice_from_covers,
     lattice_from_leq,
     parse_lattice,
+    projector_lattice,
     serialize_lattice,
+    x_plus,
+    z0,
 )
 
 B4_DOC = """
@@ -434,12 +445,18 @@ def test_serialize_mo2_cover_layers(mo2):
     assert len(pairs) == 8
 
 
-def test_covers_of_m256():
-    # 0 < a < 1 for 256 atoms a: (0, 1) has 256 two-step paths and no cover
+def _m256():
+    """0 < a < 1 for 256 atoms a, with no orthocomplementation (n = 258)."""
     n = 258
     leq = np.eye(n, dtype=bool)
     leq[0, :] = leq[:, n - 1] = True
-    wide = lattice_from_leq(["0", *(f"a{i}" for i in range(n - 2)), "1"], leq)
+    return lattice_from_leq(["0", *(f"a{i}" for i in range(n - 2)), "1"], leq)
+
+
+def test_covers_of_m256():
+    # (0, 1) has 256 two-step paths and no cover
+    wide = _m256()
+    n = wide.n
     pairs = covers(wide)
     assert (0, n - 1) not in pairs
     assert len(pairs) == 2 * (n - 2)
@@ -622,9 +639,9 @@ def test_parsing_256_elements_stays_within_the_tables():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the two int64 tables take 1 MiB, so at most 0.6 MiB goes to the search,
-    # the closure and every other transient
-    assert peak < 1.6 * 2**20
+    # the two uint8 tables take 128 KiB (int64 ones would take 1 MiB), so at
+    # most 0.6 MiB goes to the search, the closure and every other transient
+    assert peak < 0.75 * 2**20
 
 
 @pytest.mark.parametrize("name", ["catalog", "products", "pastings"])
@@ -791,6 +808,71 @@ def test_the_library_avoids_bitwise_count():
     assert 'numpy>=1.24' in (package.parents[1] / "pyproject.toml").read_text()
 
 
+def test_builders_return_read_only_tables_of_the_narrowest_dtype():
+    # uint8 up to n = 256, uint16 above: a table widened back to int64 fails here
+    b8 = catalog("B8")
+    built = [catalog(name) for name in CATALOG_NAMES]
+    built += [direct_product(b8, b8), _cube("MO3", "B8", "B4"), _cube("B8", "B8", "B8")]
+    built += [parse_lattice(serialize_lattice(lat)) for lat in (_cube("MO3", "B8", "B4"), _m256())]
+    built += [oracles.mo_lattice(127), oracles.mo_lattice(128), _m256()]  # covers, leq
+    built.append(projector_lattice([z0(), x_plus()], names=["Z0", "X+"]).lattice)
+    assert {lat.n for lat in built} >= {256, 258, 512}
+    for lat in built:
+        for table in (lat.meet, lat.join):
+            assert table.dtype == np.min_scalar_type(lat.n - 1), (lat.n, table.dtype)
+            assert not table.flags.writeable
+
+
+def _outcome(query, *args):
+    """What ``query`` returns, or the type and message of what it raises."""
+    try:
+        answer = query(*args)
+    except OrthologicError as exc:
+        return type(exc).__name__, str(exc)
+    return answer.tolist() if isinstance(answer, np.ndarray) else answer
+
+
+DTYPE_BOUNDARY = {
+    "MO3xB8xB4": lambda: _cube("MO3", "B8", "B4"),  # n = 256: uint8
+    "MO127": lambda: oracles.mo_lattice(127),  # n = 256: uint8
+    "MO128": lambda: oracles.mo_lattice(128),  # n = 258: uint16
+    "M256": _m256,  # n = 258, no orthocomplementation
+}
+
+
+@pytest.mark.parametrize("name", DTYPE_BOUNDARY)
+def test_answers_do_not_depend_on_the_table_dtype(name):
+    narrow = DTYPE_BOUNDARY[name]()
+    wide = oracles.widened(narrow)
+    assert narrow.meet.dtype in (np.uint8, np.uint16) and wide.meet.dtype == np.int64
+    rng = np.random.default_rng(5)
+    pairs = [tuple(p) for p in rng.integers(narrow.n, size=(24, 2)).tolist()]
+    state = oracles.height_state(narrow)  # a state on every modular lattice here
+    broken = list(state)
+    broken[int(rng.integers(1, narrow.n - 1))] += Fraction(1, 2)
+
+    def answers(lat):
+        found = {
+            "classify": _outcome(classify, lat),
+            "center": _outcome(center, lat),
+            "lemma": _outcome(check_incompatible_lemma, lat),
+            "relation": _outcome(compatibility_relation, lat),
+            "state": _outcome(is_state, lat, state),
+            "broken state": _outcome(is_state, lat, broken),
+        }
+        for a, b in pairs:
+            found["generated", a, b] = generated_sublattice(lat, (a, b))
+            found["distributive", a, b] = is_distributive_subset(lat, found["generated", a, b])
+            found["decomposition", a, b] = _outcome(compatible_decomposition, lat, a, b)
+            found["by definition", a, b] = _outcome(compatible_via_definition, lat, a, b)
+            found["witness", a] = _outcome(incompatibility_witness, lat, a)
+        return found
+
+    got = answers(narrow)
+    assert got == answers(wide)
+    assert name == "M256" or got["state"] == (True, None)
+
+
 def test_order_isomorphism_negative_cases():
     assert not is_order_isomorphic(catalog("MO2"), catalog("O6"))
     assert not is_order_isomorphic(catalog("B8"), catalog("MO3"))  # same size
@@ -891,6 +973,7 @@ def test_certifying_512_elements_stays_within_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the two int64 tables take 4 MiB; ANDing every pair of packed rows
-    # at once would add 16 MiB
-    assert peak < 10 * 2**20
+    # the two uint16 tables take 1 MiB (int64 ones would take 4 MiB), and at
+    # most 1 MiB goes to the rest; ANDing every pair of packed rows at once
+    # would add 16 MiB
+    assert peak < 2 * 2**20
