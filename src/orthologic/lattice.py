@@ -24,8 +24,8 @@ np.min_scalar_type(n - 1): uint8 up to 256 elements, uint16 up to 65,536.
 Every flat index x * n + y into an n x n table is computed in intp
 (:func:`_flat`), since numpy 1.x and 2.x promote a narrow array times n
 differently and both wrap silently.  Lattices built from covers, documents
-included, are capped at 5,000 elements.  No floating point is used in this
-module.
+included, and direct products are capped at ``_MAX_ELEMENTS`` elements.  No
+floating point is used in this module.
 """
 
 from __future__ import annotations
@@ -167,6 +167,13 @@ class PropertyReport:
 # default (a freed 1 MiB block would raise it to 1 MiB and change how every
 # later large array in the process is allocated).
 _BLOCK_BYTES = 1 << 17
+
+# Cap on the elements of a lattice built from covers (documents included) or
+# by direct_product, checked before any n x n array exists.  It admits B8^4
+# (4,096) and the 1,024-block Greechie ring (4,098), far inside uint16
+# tables.  Parsing and classifying a 4,998-element ring peaks at 178 MB RSS,
+# and building and classifying MO_1249 x B2 (5,000) at 195 MB.
+_MAX_ELEMENTS = 5000
 
 
 def _packed(rows: np.ndarray) -> np.ndarray:
@@ -484,27 +491,34 @@ def _distributive_witness(
     """First triple of ``members`` violating a ^ (b v c) == (a ^ b) v (a ^ c).
 
     ``members`` is a sorted index array (default: every element) closed
-    under meet and join; the scan holds one a-slice of the law at a time.
-    ``rows`` (default: ``members``) limits the a-slices scanned, and ``stop``
-    (default: none) each slice to b among the first ``stop`` members.  The
-    law is symmetric in b and c, so a slice's first violation has b <= c:
-    the b go in blocks that fit the block cap, each scanned only against
-    the c from the block's first b on.
+    under meet and join; the scan reads the members' own tables, indexed by
+    position in ``members``, so a subset costs its size squared, not n.  The
+    scan holds one a-slice of the law at a time.  ``rows`` (positions;
+    default: all) limits the a-slices scanned, and ``stop`` (default: none)
+    each slice to b among the first ``stop`` members.  The law is symmetric
+    in b and c, so a slice's first violation has b <= c: the b go in blocks
+    that fit the block cap, each scanned only against the c from the
+    block's first b on.
     """
-    bc_join = (join if members is None else join[np.ix_(members, members)])[:stop]
-    if bc_join.size * 8 <= _BLOCK_BYTES:  # cast to intp once, not in every take
-        bc_join = bc_join.astype(np.intp)
-    if members is None:
-        members = np.arange(meet.shape[0])
-    blocks = list(_row_blocks(len(bc_join), len(members), 1))
-    for a in members if rows is None else rows:
-        ab = meet[a].take(members)
+    labels = np.arange(len(meet))
+    if members is not None:
+        position = np.zeros(len(meet), dtype=_index_dtype(len(members)))
+        position[members] = np.arange(len(members))
+        meet, join = (
+            position.take(t.take(members, axis=0).take(members, axis=1)) for t in (meet, join)
+        )
+        labels = members
+    bc_join = join[:stop]
+    blocks = list(_row_blocks(len(bc_join), len(join), 1))
+    for a in range(len(meet)) if rows is None else rows:
+        ab = meet[a]
         for block in blocks:
             lo = block.start
-            bad = meet[a].take(bc_join[block, lo:]) != join[ab[block]][:, ab[lo:]]
+            joined = join.take(ab[block], axis=0).take(ab[lo:], axis=1)
+            bad = ab.take(bc_join[block, lo:]) != joined
             if bad.any():
                 b, c = np.argwhere(bad)[0]
-                return (int(a), int(members[lo + b]), int(members[lo + c]))
+                return tuple(int(labels[x]) for x in (a, lo + b, lo + c))
     return None
 
 
@@ -708,7 +722,7 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
     The closure of the covers is reflexive and transitive by construction,
     and the cycle check proves it antisymmetric, so the order axioms are not
     checked again.  Redundant pairs (lo < hi, but not a cover) are allowed.
-    More than 5,000 elements raise :class:`TooLarge` once the indices and
+    More than ``_MAX_ELEMENTS`` raise :class:`TooLarge` once the indices and
     self-covers are checked, before any n x n array exists.
     """
     names = tuple(names)
@@ -722,23 +736,17 @@ def lattice_from_covers(names, cover_pairs, ortho_pairs=()) -> Lattice:
     return _from_covers(names, lows, highs, ortho_pairs)
 
 
-# Elements of a lattice built from covers: the 1,024-block Greechie ring
-# (4,098) with room, and far inside uint16 tables.  Parsing and classifying
-# a 4,998-element ring peaks at 178 MB RSS.
-_MAX_COVERED = 5000
-
-
 def _from_covers(names, lows, highs, ortho_pairs) -> Lattice:
     """Certify the lattice of covers whose indices are in range and not self-covers.
 
-    More than 5,000 elements raise :class:`TooLarge` before any n x n array
-    exists.  The names are checked after the order and the ortho pairs, as
-    :func:`lattice_from_covers` has always reported them.
+    More than ``_MAX_ELEMENTS`` raise :class:`TooLarge` before any n x n
+    array exists.  The names are checked after the order and the ortho
+    pairs, as :func:`lattice_from_covers` has always reported them.
     """
     n = len(names)
-    if n > _MAX_COVERED:
+    if n > _MAX_ELEMENTS:
         raise TooLarge(
-            f"{n} elements exceeds the {_MAX_COVERED}-element cap on lattices built from covers"
+            f"{n} elements exceeds the {_MAX_ELEMENTS}-element cap on lattices built from covers"
         )
     leq = _closure_of_covers(n, zip(lows, highs))
     cyc = leq & leq.T & ~np.eye(n, dtype=bool)
@@ -783,7 +791,7 @@ def parse_lattice(text: str) -> Lattice:
     are cross-checked against the inferred ones.  Names are split on
     whitespace after ``#`` is cut and checked printable and distinct line by
     line, so the builder's own name check never fails on a parsed document.
-    A document of more than 5,000 elements raises :class:`TooLarge` once
+    A document of more than ``_MAX_ELEMENTS`` raises :class:`TooLarge` once
     every line is read (so a faulty line is still the error reported),
     before any n x n array exists.
     """
@@ -973,7 +981,6 @@ def is_distributive_subset(
 # ---------------------------------------------------------------------------
 # products and catalog
 
-_MAX_PRODUCT = 1 << 12  # elements: B8^4
 
 
 def direct_product(first: Lattice, second: Lattice) -> Lattice:
@@ -981,16 +988,16 @@ def direct_product(first: Lattice, second: Lattice) -> Lattice:
 
     A product of ortholattices is an ortholattice whose order, meet, join
     and orthocomplement act componentwise, so the factors' certified tables
-    compose directly and nothing is re-derived.  Products above 4,096
-    elements (B8^4) raise :class:`TooLarge` before any name or table is
+    compose directly and nothing is re-derived.  Products above
+    ``_MAX_ELEMENTS`` raise :class:`TooLarge` before any name or table is
     built: for two n=512 factors the boolean order table alone is 64 GiB.
     """
     if first.ortho is None or second.ortho is None:
         raise BadOrtho("direct product requires orthocomplementations on both factors")
-    if first.n * second.n > _MAX_PRODUCT:
+    if first.n * second.n > _MAX_ELEMENTS:
         raise TooLarge(
             f"direct product of {first.n} x {second.n} = {first.n * second.n} elements "
-            f"exceeds the {_MAX_PRODUCT}-element cap"
+            f"exceeds the {_MAX_ELEMENTS}-element cap"
         )
     names = tuple(f"({a},{b})" for a in first.names for b in second.names)
     _check_names(names)

@@ -487,7 +487,7 @@ def test_product_above_the_cap_ends_in_a_report_under_400_mb(tmp_path):
 
 def test_document_above_the_cap_ends_in_a_report_under_400_mb(tmp_path):
     # 0 < a < 1 for every other element: one element more than the cap
-    n = lattice_module._MAX_COVERED + 1
+    n = lattice_module._MAX_ELEMENTS + 1
     atoms = [f"a{i}" for i in range(n - 2)]
     path = tmp_path / "wide.lat"
     path.write_text(

@@ -499,8 +499,8 @@ def test_direct_product_requires_ortho():
 
 
 def test_direct_product_refuses_products_above_the_cap(monkeypatch):
-    assert lattice_module._MAX_PRODUCT == 4096  # B8^4
-    monkeypatch.setattr(lattice_module, "_MAX_PRODUCT", 32)
+    assert lattice_module._MAX_ELEMENTS == 5000  # B8^4 and the 1,024-block ring
+    monkeypatch.setattr(lattice_module, "_MAX_ELEMENTS", 32)
     assert direct_product(catalog("B4"), catalog("B8")).n == 32
     with pytest.raises(TooLarge, match=r"4 x 12 = 48 elements exceeds the 32-element cap"):
         direct_product(catalog("B4"), catalog("MO2xB2"))
