@@ -7,7 +7,9 @@ deliberate change to a report, rewrite that file with
 
     PYTHONPATH=src python tests/test_report_digests.py
 
-``wigner`` and ``detect`` are left out: their reports carry floats.
+``wigner`` is left out: its reports carry floats that depend on BLAS.  The
+floats of a ``detect`` report are exact: the given fraction and
+``disagreements / rounds``.
 """
 
 import contextlib
@@ -149,6 +151,11 @@ COMMANDS = [
     ("quantum", "--preset", "qubit-z"),
     ("quantum", "--preset", "qutrit-commuting"),
     *(("quantum", "--generators", name) for name in QUANTUM_GENERATORS),
+    *(
+        ("detect", "--rounds", "4099", "--seed", seed, "--fraction", fraction)
+        for seed in ("0", "7")
+        for fraction in ("0", "0.5", "1")
+    ),
 ]
 
 
