@@ -10,15 +10,19 @@ Matrices are plain complex ndarrays.  Every numerical decision uses the
 one tolerance ``TOL = 1e-9``; dimensions up to 8 stay well-conditioned at
 that scale:
 
+- projector: :func:`validate_projector` accepts a matrix within ``TOL`` of
+  hermitian and of idempotent, which pins every eigenvalue within about
+  ``TOL`` of 0 or 1, and returns the projector onto its eigenvectors with
+  eigenvalue above 1/2, a split with a margin of about 1/2.  Every element
+  of a closure is thus an exact projector up to rounding;
 - rank: a singular value counts when it is ``> TOL``;
 - match: a projector equals the first element, in discovery order, whose
   Frobenius distance to it is ``<= TOL``;
 - commuting pairs: the closure reads the meet and join of P and Q as PQ and
-  P + Q - PQ when ``||PQ - QP||_F``, ``||P^2 - P||_F`` and ``||Q^2 - Q||_F``
-  are each at most ``_COMMUTATOR_BOUND`` (``TOL / 1000``), and drops either
-  one without its SVD when it lies within ``TOL / 2`` of an element already
-  found.  Such a pair lies within O(bound) of two projectors whose principal
-  angles lie within O(bound) of 0 or pi/2, so the SVD's span is within
+  P + Q - PQ when ``||PQ - QP||_F`` is at most ``_COMMUTATOR_BOUND``
+  (``TOL / 1000``), and drops either one without its SVD when it lies
+  within ``TOL / 2`` of an element already found.  The principal angles of
+  such a pair lie within O(bound) of 0 or pi/2, so the SVD's span is within
   O(bound) of the same candidate and within ``TOL / 2 + O(bound) < TOL`` of
   that element: the match drops it too (:func:`_commuting_matched`);
 - order: ``P_i <= P_j`` when ``||P_j P_i - P_i|| <= TOL``;
@@ -100,10 +104,13 @@ _SNAP_DENOMINATOR = 10**12
 
 
 def validate_projector(matrix, *, dim: int | None = None) -> np.ndarray:
-    """Return ``matrix`` as a complex array after checking it projects.
+    """The exact projector that ``matrix`` approximates, as a complex array.
 
     Hermiticity and idempotence within ``TOL`` are verified; together they
-    already pin the eigenvalues to {0, 1} at the same scale.
+    already pin the eigenvalues to {0, 1} at the same scale.  The result is
+    the projector onto the eigenvectors whose eigenvalue is above 1/2: it is
+    hermitian and idempotent up to rounding, of the same rank as ``matrix``
+    and within about ``TOL`` of it.
     """
     p = np.asarray(matrix, dtype=complex)
     if not np.isfinite(p).all():
@@ -119,7 +126,9 @@ def validate_projector(matrix, *, dim: int | None = None) -> np.ndarray:
         raise BadProjector("matrix is not hermitian within tolerance")
     if np.linalg.norm(p @ p - p) > TOL:
         raise BadProjector("matrix is not idempotent within tolerance")
-    return p
+    values, vectors = np.linalg.eigh(p)
+    basis = vectors[:, values > 0.5]
+    return basis @ basis.conj().T
 
 
 def validate_density_matrix(matrix, *, dim: int | None = None) -> np.ndarray:
@@ -265,10 +274,9 @@ def _key_direction(dim: int) -> np.ndarray:
 
 
 class _Elements:
-    """Projectors in discovery order, with the data every match reads.
+    """Projectors in discovery order, with the match key every match reads.
 
-    Each element's match key (its real row projected on ``_key_direction``)
-    and whether it lies within ``_COMMUTATOR_BOUND`` of idempotent are
+    Each element's key (its real row projected on ``_key_direction``) is
     computed once, for the batch it comes in, and copied with it by
     :meth:`extend`; the keys are kept sorted, ``by_key`` giving the order.
     """
@@ -276,7 +284,6 @@ class _Elements:
     def __init__(self, stack: np.ndarray):
         self.stack = np.asarray(stack, dtype=complex)
         self.keys = _real_rows(self.stack) @ _key_direction(self.stack.shape[-1])
-        self.exact = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) <= _COMMUTATOR_BOUND
         self._sort()
 
     def _sort(self) -> None:
@@ -288,10 +295,9 @@ class _Elements:
         return len(self.stack)
 
     def extend(self, other: "_Elements", which) -> None:
-        """Append the elements ``which`` of ``other``, with their data."""
+        """Append the elements ``which`` of ``other``, with their keys."""
         self.stack = np.concatenate([self.stack, other.stack[which]])
         self.keys = np.concatenate([self.keys, other.keys[which]])
-        self.exact = np.concatenate([self.exact, other.exact[which]])
         self._sort()
 
 
@@ -320,35 +326,28 @@ def _matched(
     return first
 
 
-def _commuting_matched(
-    elements: _Elements, p: np.ndarray, q: np.ndarray, exact: np.ndarray
-) -> np.ndarray:
+def _commuting_matched(elements: _Elements, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Which joins and meets (slices 2k and 2k + 1 for pair k) ``elements`` holds, with no SVD.
 
-    Only pairs of near-exact projectors that commute are decided; every other
-    slice reads False.  ``exact`` says, per pair, whether both ||P^2 - P||_F
-    and ||Q^2 - Q||_F are at most ``_COMMUTATOR_BOUND`` (:class:`_Elements`).
+    Only pairs that commute are decided; every other slice reads False.
+    Every element is a projector up to rounding, as ``validate_projector``
+    snaps the generators and the closure adds only spans and complements.
 
     For hermitian P and Q, QP = (PQ)^H, so ||PQ - QP||_F = ||C - C^H||_F with
-    C = PQ; the pair is certified when it too is at most the bound, d = TOL / 1000.
-    Each eigenvalue l of P has |l^2 - l| <= d, so P lies within about d of
-    the projector onto its eigenvalues near 1, and likewise Q; those two
-    projectors commute within about 5 d, and Halmos's two-subspace theorem
-    puts every principal angle between their ranges within O(d) of 0 or pi/2.
-    The singular values of [P Q] and of [I-P I-Q] are then each O(d), far
-    below ``TOL``, or near 1 and above, so the ranks ``_spans`` finds are
-    those of the commuting pair, and its join and meet lie within O(d) of
-    P + Q - M and M, where M = (C + C^H)/2.  A candidate found within
-    ``TOL / 2`` of an element has its SVD span within TOL / 2 + O(d) < TOL
-    of the same element, so ``_matched`` would drop it as well: this filter
-    never decides a candidate differently, it only skips the SVD of one
-    that would be dropped.  Idempotence is part of the bound because
-    ``validate_projector`` admits an error up to ``TOL``: with
-    P = (1 - e)|u><u|, P + Q - M lies e from the SVD span, which is too far.
+    C = PQ; the pair is certified when it is at most the bound, d = TOL / 1000.
+    Halmos's two-subspace theorem then puts every principal angle between
+    the ranges of P and Q within O(d) of 0 or pi/2.  The singular values of
+    [P Q] and of [I-P I-Q] are then each O(d), far below ``TOL``, or near 1
+    and above, so the ranks ``_spans`` finds are those of the commuting
+    pair, and its join and meet lie within O(d) of P + Q - M and M, where
+    M = (C + C^H)/2.  A candidate found within ``TOL / 2`` of an element has
+    its SVD span within TOL / 2 + O(d) < TOL of the same element, so
+    ``_matched`` would drop it as well: this filter never decides a
+    candidate differently, it only skips the SVD of one that would be dropped.
     """
     c = p @ q
     c_h = c.conj().swapaxes(1, 2)
-    commuting = exact & (np.linalg.norm(c - c_h, axis=(1, 2)) <= _COMMUTATOR_BOUND)
+    commuting = np.linalg.norm(c - c_h, axis=(1, 2)) <= _COMMUTATOR_BOUND
     if not commuting.any():
         return np.zeros(2 * len(p), dtype=bool)
     # every pair's join, then every meet; those of uncertified pairs are masked below
@@ -500,13 +499,11 @@ def projector_lattice(
     # round, so each round combines only pairs that include a newer element.
     # The pairs go in blocks, in the order of the double loop i < j.  First
     # _commuting_matched drops each commuting pair's join and meet that the
-    # elements found before the block already hold, with no SVD, for pairs
-    # of near-exact projectors (a generator may be up to TOL from
-    # idempotent).  A stacked SVD gives every other join (span of [P Q]) and
-    # meet (by De Morgan, the complement of the span of [I-P I-Q]), in
-    # chunks, and add() keeps the new ones in order: the elements, their
-    # order and labels, and the point where ClosureTooLarge is raised are
-    # those of one add per candidate.
+    # elements found before the block already hold, with no SVD.  A stacked
+    # SVD gives every other join (span of [P Q]) and meet (by De Morgan, the
+    # complement of the span of [I-P I-Q]), in chunks, and add() keeps the
+    # new ones in order: the elements, their order and labels, and the point
+    # where ClosureTooLarge is raised are those of one add per candidate.
     # A pair's filter transients take about 128 d^2 bytes together, the
     # largest of them (its join and meet) 32 d^2, and its SVD's (two (d, 2d)
     # inputs, u, vh, two candidates) about 256 d^2.  A round's first filter
@@ -535,9 +532,8 @@ def projector_lattice(
             block = slice(lo, lo + size)
             lo += size
             firsts, seconds = elements.stack[left[block]], elements.stack[right[block]]
-            exact = elements.exact[left[block]] & elements.exact[right[block]]
             # slice 2k is pair k's join, slice 2k + 1 its meet
-            pending = np.flatnonzero(~_commuting_matched(elements, firsts, seconds, exact))
+            pending = np.flatnonzero(~_commuting_matched(elements, firsts, seconds))
             for chunk in range(0, len(pending), slices_per_chunk):
                 slices = pending[chunk : chunk + slices_per_chunk]
                 pairs, meets = slices // 2, slices % 2 == 1
@@ -738,8 +734,7 @@ def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
 # within ``_MARGIN`` of its threshold is taken again from
 # ``sequence_probability``'s own computation, pair by pair.
 
-# rounding moves the kernel's probabilities by ~1e-14 for projectors; entries
-# above 1 scale the margin by their fifth power, as a trace multiplies at most five
+# rounding moves the kernel's probabilities by ~1e-14 for projectors
 _MARGIN = TOL * 1e-3
 
 
@@ -792,14 +787,14 @@ class _Answered:
         self.lhs = pairs.transpose(0, 3, 1, 2, 4).reshape(2, dim, -1)
 
 
-def _certainty(num: np.ndarray, den: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+def _certainty(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether ``num / den`` is certain (a null condition makes it so), and which
-    decisions lie within ``margin`` of ``TOL``, counting the ratio's own rounding."""
+    decisions lie within ``_MARGIN`` of ``TOL``, counting the ratio's own rounding."""
     null = den <= TOL
     ratio = num / np.where(null, 1.0, den)
     deviation = np.abs(ratio - 1.0)
-    near = (np.abs(den - TOL) <= margin) | (
-        ~null & (np.abs(deviation - TOL) * den <= margin * (1.0 + np.abs(ratio)))
+    near = (np.abs(den - TOL) <= _MARGIN) | (
+        ~null & (np.abs(deviation - TOL) * den <= _MARGIN * (1.0 + np.abs(ratio)))
     )
     return null | (deviation <= TOL), near
 
@@ -833,7 +828,6 @@ def _clauses(
     rows: slice,
     cols: slice,
     answered: _Answered,
-    margin: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``a <= b`` and ``b`` complementing ``a`` for the tile ``rows`` x ``cols``.
 
@@ -851,14 +845,14 @@ def _clauses(
     # a true then b true, a true then b false, a false then b true
     nums = np.stack([traced[0], answered.traces[0][:, None] - traced[0], traced[1]])
     dens = answered.conditions[[0, 0, 1], :, None]
-    certain, near = _certainty(np.clip(nums, 0.0, 1.0), dens, margin)
+    certain, near = _certainty(np.clip(nums, 0.0, 1.0), dens)
     implied, comp, near = certain[0], certain[1] & certain[2], near.any(axis=0)
     sandwiched = _sandwiches(columns, answered, implied & ~near)
     flipped = answered.after[:, :, None] - traced[2:] + sandwiched
     agree = np.minimum(1.0, (np.clip(sandwiched, 0.0, 1.0) + np.clip(flipped, 0.0, 1.0)).sum(0))
     deviation = np.abs(agree - 1.0)
     leq = implied & (deviation <= TOL)
-    near |= implied & (np.abs(deviation - TOL) <= 4 * margin)
+    near |= implied & (np.abs(deviation - TOL) <= 4 * _MARGIN)
     for a, b in zip(*np.nonzero(near)):
         leq[a, b], comp[a, b] = _literal_clauses(projectors, rho, rows.start + a, cols.start + b)
     return leq, comp
@@ -872,14 +866,13 @@ def _tiled_clauses(pl: ProjectorLattice, rows: slice = slice(None)):
     """
     projectors, dim = pl.projector_stack, pl.dim
     rho = maximally_mixed(dim)
-    margin = _MARGIN * max(1.0, float(np.abs(projectors).max(initial=0.0))) ** 5
     first, last, _ = rows.indices(pl.n)
     answered_rows = None
     for block, cols in _tiles(last - first, pl.n, 16):
         block = slice(block.start + first, block.stop + first)
         if block != answered_rows:
             answered, answered_rows = _Answered(projectors[block], rho), block
-        yield block, cols, *_clauses(projectors, rho, block, cols, answered, margin)
+        yield block, cols, *_clauses(projectors, rho, block, cols, answered)
 
 
 def infer_order(pl: ProjectorLattice) -> np.ndarray:

@@ -75,11 +75,10 @@ class Scenario:
             raise DimensionMismatch(f"ready state must have dimension {d2}")
         if np.abs(ready).max(initial=0.0) > 1 + TOL or abs(np.linalg.norm(ready) - 1.0) > TOL:
             raise ValueError("ready state is not normalized")
-        validate_projector(self.question, dim=d1)
-        validate_projector(self.alt_question, dim=d1)
-        validate_projector(self.record, dim=d2)
         object.__setattr__(self, "coupling", u)
         object.__setattr__(self, "ready", ready)
+        for name, dim in (("question", d1), ("alt_question", d1), ("record", d2)):
+            object.__setattr__(self, name, validate_projector(getattr(self, name), dim=dim))
 
     @property
     def joint_dim(self) -> int:

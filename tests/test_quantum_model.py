@@ -581,8 +581,8 @@ def test_closure_decides_each_candidate_once(monkeypatch, generators, commuting)
     events = []
     real_filter, real_spans = quantum._commuting_matched, quantum._spans
 
-    def filtering(stack, firsts, seconds, exact):
-        matched = real_filter(stack, firsts, seconds, exact)
+    def filtering(*args):
+        matched = real_filter(*args)
         events.append(("filter", len(matched), int(matched.sum())))
         return matched
 
@@ -685,6 +685,26 @@ def test_reconstruction_of_scaled_rays_matches_luders_oracles(generators):
     assert np.array_equal(infer_order(pl), oracles.luders_infer_order(pl))
     for a in range(pl.n):
         assert outcome(infer_complement, a) == outcome(oracles.luders_infer_complement, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators=_scaled_rays())
+def test_validation_returns_the_projector_a_generator_approximates(generators):
+    # each generator lies up to TOL from idempotent; the door returns an exact
+    # projector of the same rank near it, so the closure is that of the exact
+    # projectors, here found by McWeeny purification rather than eigh
+    try:
+        snapped = [validate_projector(g) for g in generators]
+    except BadProjector:  # an error drawn at TOL exactly may round past it
+        return
+    for g, p in zip(generators, snapped):
+        assert np.linalg.norm(p - p.conj().T) <= 1e-12
+        assert np.linalg.norm(p @ p - p) <= 1e-12
+        assert np.sum(np.linalg.eigvalsh(p) > 0.5) == np.sum(np.linalg.eigvalsh(g) > 0.5)
+        assert np.linalg.norm(p - g) <= 2 * TOL
+    scaled = _closure_outcome(generators)
+    exact = _closure_outcome([oracles.purified(g) for g in generators])
+    _assert_same_outcome(scaled[:3], exact[:3])  # names, leq and ortho, or the same refusal
 
 
 def _inexact_commuting():
