@@ -486,28 +486,22 @@ def _orthomodular_witness(lattice: Lattice) -> tuple[int, int] | None:
 
 
 def _distributive_witness(
-    meet: np.ndarray, join: np.ndarray, members=None, rows=None, stop=None
+    meet: np.ndarray, join: np.ndarray, labels=None, rows=None, stop=None
 ) -> tuple[int, int, int] | None:
-    """First triple of ``members`` violating a ^ (b v c) == (a ^ b) v (a ^ c).
+    """First triple violating a ^ (b v c) == (a ^ b) v (a ^ c), as ``labels`` of positions.
 
-    ``members`` is a sorted index array (default: every element) closed
-    under meet and join; the scan reads the members' own tables, indexed by
-    position in ``members``, so a subset costs its size squared, not n.  The
-    scan holds one a-slice of the law at a time.  ``rows`` (positions;
-    default: all) limits the a-slices scanned, and ``stop`` (default: none)
-    each slice to b among the first ``stop`` members.  The law is symmetric
-    in b and c, so a slice's first violation has b <= c: the b go in blocks
-    that fit the block cap, each scanned only against the c from the
-    block's first b on.
+    ``meet`` and ``join`` are the tables of a lattice, or of a subset closed
+    under both indexed by position in it (:func:`is_distributive_subset`),
+    so a subset costs its size squared, not n; ``labels`` (default: the
+    positions) names each position's element.  The scan holds one a-slice
+    of the law at a time.  ``rows`` (positions; default: all) limits the
+    a-slices scanned, and ``stop`` (default: none) each slice to b among
+    the first ``stop`` positions.  The law is symmetric in b and c, so a
+    slice's first violation has b <= c: the b go in blocks that fit the
+    block cap, each scanned only against the c from the block's first b on.
     """
-    labels = np.arange(len(meet))
-    if members is not None:
-        position = np.zeros(len(meet), dtype=_index_dtype(len(members)))
-        position[members] = np.arange(len(members))
-        meet, join = (
-            position.take(t.take(members, axis=0).take(members, axis=1)) for t in (meet, join)
-        )
-        labels = members
+    if labels is None:
+        labels = np.arange(len(meet))
     bc_join = join[:stop]
     blocks = list(_row_blocks(len(bc_join), len(join), 1))
     for a in range(len(meet)) if rows is None else rows:
@@ -749,8 +743,10 @@ def _from_covers(names, lows, highs, ortho_pairs) -> Lattice:
             f"{n} elements exceeds the {_MAX_ELEMENTS}-element cap on lattices built from covers"
         )
     leq = _closure_of_covers(n, zip(lows, highs))
-    cyc = leq & leq.T & ~np.eye(n, dtype=bool)
-    if cyc.any():
+    pairs = np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
+    # the covers have a cycle exactly when some cover (lo, hi) also has hi <= lo
+    if leq[pairs[1], pairs[0]].any():
+        cyc = leq & leq.T & ~np.eye(n, dtype=bool)
         a, b = np.argwhere(cyc)[0]
         raise CycleError(
             f"covers contain a cycle through {names[a]!r} and {names[b]!r}",
@@ -774,7 +770,6 @@ def _from_covers(names, lows, highs, ortho_pairs) -> Lattice:
         ortho = perm
     names = tuple(str(s) for s in names)
     _check_names(names)
-    pairs = np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
     return _certified(names, leq, ortho, pairs)
 
 
@@ -964,17 +959,22 @@ def is_distributive_subset(
     Returns ``(True, None)`` or ``(False, first_violating_triple)``.
     """
     members = np.array(sorted(_checked_indices(lattice.n, subset)), dtype=np.int64)
-    inside = np.zeros(lattice.n, dtype=bool)
-    inside[members] = True
-    grid = np.ix_(members, members)
-    leaks = ~(inside[lattice.meet[grid]] & inside[lattice.join[grid]])
+    # the members' own tables, by position in members; len(members) marks a leak
+    outside = len(members)
+    position = np.full(lattice.n, outside, dtype=_index_dtype(outside + 1))
+    position[members] = np.arange(outside)
+    meet, join = (
+        position.take(t.take(members, axis=0).take(members, axis=1))
+        for t in (lattice.meet, lattice.join)
+    )
+    leaks = (meet == outside) | (join == outside)
     if leaks.any():
         a, b = (int(members[i]) for i in np.argwhere(leaks)[0])
         raise NotClosed(
             f"subset is not closed at pair ({lattice.names[a]!r}, {lattice.names[b]!r})",
             witness=(a, b),
         )
-    triple = _distributive_witness(lattice.meet, lattice.join, members)
+    triple = _distributive_witness(meet, join, members)
     return triple is None, triple
 
 

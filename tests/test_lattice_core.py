@@ -630,6 +630,22 @@ def test_an_order_reversing_ortho_map_halves_the_bound_search(monkeypatch):
     assert len(sides) == 6 and len(searched) == 1
 
 
+def test_parsing_acyclic_covers_runs_no_cycle_check():
+    # the 1,024-block Greechie ring, n = 4,098: its covers are acyclic, which
+    # the covers themselves show, so no n x n transient of a cycle check is made
+    doc = serialize_lattice(oracles.greechie_pasting(oracles.greechie_ring(1024)))
+    tracemalloc.start()
+    try:
+        lat = parse_lattice(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lat.n == 4098
+    # the two uint16 tables take 64 MiB and the order 16 MiB (81.1 MiB
+    # measured); a cycle check's transients would add 16 MiB (97.2 MiB)
+    assert peak < 85 * 2**20
+
+
 def test_parsing_256_elements_stays_within_the_tables():
     doc = serialize_lattice(_cube("MO3", "B8", "B4"))
     parse_lattice(doc)
@@ -871,6 +887,29 @@ def test_answers_do_not_depend_on_the_table_dtype(name):
     got = answers(narrow)
     assert got == answers(wide)
     assert name == "M256" or got["state"] == (True, None)
+
+
+@pytest.mark.parametrize("name", DTYPE_BOUNDARY)
+def test_open_subsets_leak_at_the_same_pair_whatever_the_table_dtype(name):
+    narrow = DTYPE_BOUNDARY[name]()
+    wide = oracles.widened(narrow)
+    rng = np.random.default_rng(6)
+    for size in (2, 3, 5, 17, 64):
+        subset = sorted(rng.choice(narrow.n, size, replace=False).tolist())
+        # the first pair in row order whose meet or join leaves the subset
+        a, b = next(
+            (a, b)
+            for a in subset
+            for b in subset
+            if wide.meet[a, b] not in subset or wide.join[a, b] not in subset
+        )
+        for lat in (narrow, wide):
+            with pytest.raises(NotClosed) as caught:
+                is_distributive_subset(lat, subset)
+            assert caught.value.witness == (a, b)
+            assert str(caught.value) == (
+                f"subset is not closed at pair ({narrow.names[a]!r}, {narrow.names[b]!r})"
+            )
 
 
 def test_order_isomorphism_negative_cases():
