@@ -25,7 +25,7 @@ that scale:
   such a pair lie within O(bound) of 0 or pi/2, so the SVD's span is within
   O(bound) of the same candidate and within ``TOL / 2 + O(bound) < TOL`` of
   that element: the match drops it too (:func:`_commuting_matched`);
-- order: ``P_i <= P_j`` when ``||P_j P_i - P_i|| <= TOL``;
+- order: P <= Q when the closure's meet of P and Q matches P;
 - certainty: a conditional probability ``num / den`` is certain when
   ``|num / den - 1| <= TOL``;
 - null condition: a condition with probability ``den <= TOL`` makes every
@@ -117,6 +117,8 @@ def validate_projector(matrix, *, dim: int | None = None) -> np.ndarray:
         raise BadProjector("projector has non-finite entries")
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise BadProjector(f"projector must be square, got shape {p.shape}")
+    if not p.size:
+        raise BadProjector("projector must have dimension at least 1")
     if dim is not None and p.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.shape[0]}")
     # |P_ij|^2 <= P_ii P_jj <= 1 for a projector; the bound keeps P @ P finite
@@ -138,6 +140,8 @@ def validate_density_matrix(matrix, *, dim: int | None = None) -> np.ndarray:
         raise BadDensityMatrix("density matrix has non-finite entries")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise BadDensityMatrix(f"density matrix must be square, got shape {rho.shape}")
+    if not rho.size:
+        raise BadDensityMatrix("density matrix must have dimension at least 1")
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {rho.shape[0]}")
     if np.linalg.norm(rho - rho.conj().T) > TOL:
@@ -327,9 +331,9 @@ def _matched(
 
 
 def _commuting_matched(elements: _Elements, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Which joins and meets (slices 2k and 2k + 1 for pair k) ``elements`` holds, with no SVD.
+    """The element each join and meet (slices 2k and 2k + 1 for pair k) matches, with no SVD.
 
-    Only pairs that commute are decided; every other slice reads False.
+    Only pairs that commute are decided; every other slice reads -1.
     Every element is a projector up to rounding, as ``validate_projector``
     snaps the generators and the closure adds only spans and complements.
 
@@ -344,37 +348,28 @@ def _commuting_matched(elements: _Elements, p: np.ndarray, q: np.ndarray) -> np.
     its SVD span within TOL / 2 + O(d) < TOL of the same element, so
     ``_matched`` would drop it as well: this filter never decides a
     candidate differently, it only skips the SVD of one that would be dropped.
+
+    The index returned is that of the element found, as the closure reads
+    the order off the meets.  It is also the SVD path's match, the first
+    element within ``TOL`` of the span, unless an earlier element lies within
+    ``TOL`` of the span too, and so within about 1.5 ``TOL`` of the element
+    found.  Elements lie more than ``TOL`` apart; two that close come only
+    from inputs with subspaces a few ``TOL`` apart, where the rank and match
+    rules decide at their thresholds.
     """
     c = p @ q
     c_h = c.conj().swapaxes(1, 2)
     commuting = np.linalg.norm(c - c_h, axis=(1, 2)) <= _COMMUTATOR_BOUND
     if not commuting.any():
-        return np.zeros(2 * len(p), dtype=bool)
+        return np.full(2 * len(p), -1)
     # every pair's join, then every meet; those of uncertified pairs are masked below
     candidates = np.empty((2, *p.shape), dtype=complex)
     meets = np.add(c, c_h, out=candidates[1])
     meets /= 2
     joins = np.add(p, q, out=candidates[0])
     joins -= meets
-    found = _matched(elements, candidates.reshape(-1, *p.shape[1:]), TOL / 2) >= 0
-    return (found.reshape(2, -1) & commuting).T.ravel()
-
-
-def _inclusion(stack: np.ndarray) -> np.ndarray:
-    """Inclusion ``P_i <= P_j`` by the rule of ``TOL``.
-
-    Tiles of rows and columns keep their (rows, cols, d, d) transients under
-    ``_BLOCK_BYTES``; one matmul of the columns against the rows gives every ``P_j P_i``.
-    """
-    n, dim = stack.shape[:2]
-    leq = np.empty((n, n), dtype=bool)
-    for rows, cols in _tiles(n, n, 2 * dim * dim):
-        # block[r, i, c] = (P_i)_rc and products[j, r, i, c] = (P_j P_i)_rc
-        block = stack[rows].transpose(1, 0, 2)
-        flat = stack[cols].reshape(-1, dim)
-        products = (flat @ block.reshape(dim, -1)).reshape(-1, dim, block.shape[1], dim)
-        leq[rows, cols] = (np.linalg.norm(products - block, axis=(1, 3)) <= TOL).T
-    return leq
+    found = _matched(elements, candidates.reshape(-1, *p.shape[1:]), TOL / 2)
+    return np.where(commuting, found.reshape(2, -1), -1).T.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,6 +439,7 @@ def projector_lattice(
     elements = _Elements(np.empty((0, dim, dim)))
     labels: list[str | None] = []
     complement = np.empty(0, dtype=int)  # the index of each element's I - P, once its round ran
+    below: list[np.ndarray] = []  # the pairs P < Q, as (2, k) arrays of discovery indices
 
     def add(ps: np.ndarray) -> np.ndarray:
         """Match or append each of ``ps`` in order; its element's index.
@@ -504,6 +500,7 @@ def projector_lattice(
     # complement of the span of [I-P I-Q]), in chunks, and add() keeps the
     # new ones in order: the elements, their order and labels, and the point
     # where ClosureTooLarge is raised are those of one add per candidate.
+    # The element a pair's meet matches, by either path, gives the order.
     # A pair's filter transients take about 128 d^2 bytes together, the
     # largest of them (its join and meet) 32 d^2, and its SVD's (two (d, 2d)
     # inputs, u, vh, two candidates) about 256 d^2.  A round's first filter
@@ -527,13 +524,15 @@ def projector_lattice(
         # the pairs i < j with j new, in the order of the double loop
         left, right = np.nonzero(np.arange(before)[:, None] < np.arange(fresh, before))
         right += fresh
+        meet_element = np.empty_like(left)  # the element each pair's meet matched
         size, lo = smallest, 0
         while lo < len(left):
             block = slice(lo, lo + size)
             lo += size
             firsts, seconds = elements.stack[left[block]], elements.stack[right[block]]
             # slice 2k is pair k's join, slice 2k + 1 its meet
-            pending = np.flatnonzero(~_commuting_matched(elements, firsts, seconds))
+            matched = _commuting_matched(elements, firsts, seconds)
+            pending = np.flatnonzero(matched < 0)
             for chunk in range(0, len(pending), slices_per_chunk):
                 slices = pending[chunk : chunk + slices_per_chunk]
                 pairs, meets = slices // 2, slices % 2 == 1
@@ -541,8 +540,12 @@ def projector_lattice(
                 blocks[meets] = eye2 - blocks[meets]
                 spans = _spans(blocks)
                 spans[meets] = eye - spans[meets]
-                add(spans)
+                matched[slices] = add(spans)
             size = smallest if pending.size else min(2 * size, largest)
+            meet_element[block] = matched[1::2]
+        # every pair is combined in one round, and P < Q exactly when their meet is P
+        for low, high in ((left, right), (right, left)):
+            below.append(np.stack([low, high])[:, meet_element == low])
         fresh = before
 
     order = np.argsort(np.rint(np.trace(elements.stack, axis1=1, axis2=2).real), kind="stable")
@@ -553,7 +556,9 @@ def projector_lattice(
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     ortho = position[complement[order]]
-    leq = _inclusion(stack)
+    leq = np.eye(len(order), dtype=bool)
+    low, high = position[np.concatenate(below, axis=1)]
+    leq[low, high] = True
 
     final_names: list[str] = []
     seen: set[str] = set()
@@ -657,38 +662,30 @@ def _updated(projectors: np.ndarray, sigma: np.ndarray, steps) -> np.ndarray:
     return sigma
 
 
-def _luders(projectors: np.ndarray, sigma: np.ndarray, steps) -> np.ndarray:
-    """Joint probability of ``steps`` under chained Luders updates of ``sigma``.
+def _luders(projectors: np.ndarray, rho: np.ndarray, steps) -> np.ndarray:
+    """Joint probability of ``steps`` under chained Luders updates of the preparation ``rho``.
 
-    ``sigma`` is an unnormalized state: the preparation, or what a shared
-    prefix of answers left of it (:func:`_updated`), so that many sequences
-    with one prefix update it once.  Each step but the last sandwiches the
-    state with P (answer true) or I - P (answer false), with no
-    renormalization; the last needs no post-measurement state and is read as
-    tr(E sigma), which equals tr(E sigma E) for a projector E.  A step's
-    element may be an index array or a slice into the stacked ``projectors``;
-    the steps and the leading axes of ``sigma`` then broadcast and so does
-    the result.
+    Each step but the last sandwiches the state with P (answer true) or
+    I - P (answer false), with no renormalization; the last needs no
+    post-measurement state and is read as tr(E sigma) of the state sigma the
+    others leave, which equals tr(E sigma E) for a projector E.  A step's
+    element may be an index array or a slice into the stacked
+    ``projectors``; the steps then broadcast and so does the result.
     """
     if not steps:
-        return np.clip(np.trace(sigma, axis1=-2, axis2=-1).real, 0.0, 1.0)
+        return np.clip(np.trace(rho, axis1=-2, axis2=-1).real, 0.0, 1.0)
     *prefix, (element, answer) = steps
     e = _effect(projectors, element, answer)
-    traced = np.einsum("...ij,...ji->...", e, _updated(projectors, sigma, prefix))
+    traced = np.einsum("...ij,...ji->...", e, _updated(projectors, rho, prefix))
     return np.clip(traced.real, 0.0, 1.0)
 
 
-def _answered(projectors: np.ndarray, rho: np.ndarray, probe) -> dict[bool, np.ndarray]:
-    """The unnormalized states ``rho`` is left in when ``probe`` answers true and false."""
-    return {a: _updated(projectors, rho, [(probe, a)]) for a in (True, False)}
-
-
-def _agreement(projectors: np.ndarray, answered, probe, intermediate=None) -> np.ndarray:
-    """Probability that ``probe`` answers alike twice, from its states ``answered``."""
-    middles = [[]] if intermediate is None else [[(intermediate, b)] for b in (True, False)]
+def _agreement(projectors: np.ndarray, rho: np.ndarray, probe, intermediate=None) -> np.ndarray:
+    """Probability that ``probe`` answers alike twice, summed over the answers of ``intermediate``."""
+    middles = [[]] if intermediate is None else [[(intermediate, y)] for y in (True, False)]
     total = sum(
-        _luders(projectors, answered[a], [*middle, (probe, a)])
-        for a in (True, False)
+        _luders(projectors, rho, [(probe, x), *middle, (probe, x)])
+        for x in (True, False)
         for middle in middles
     )
     return np.minimum(1.0, total)
@@ -708,9 +705,7 @@ def isolated_check(
     """Probability that two probe inquiries agree, marginalizing the middle one."""
     rho = validate_density_matrix(rho, dim=pl.dim)
     _checked_indices(pl.n, (probe,) if intermediate is None else (probe, intermediate))
-    projectors = pl.projector_stack
-    answered = _answered(projectors, rho, probe)
-    return float(_agreement(projectors, answered, probe, intermediate))
+    return float(_agreement(pl.projector_stack, rho, probe, intermediate))
 
 
 def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
@@ -753,10 +748,7 @@ def _literal_clauses(projectors: np.ndarray, rho: np.ndarray, a: int, b: int) ->
         den = probability(condition)
         return den <= TOL or abs(probability(condition, question) / den - 1.0) <= TOL
 
-    agree = sum(
-        probability((a, x), (b, y), (a, x)) for x in (True, False) for y in (True, False)
-    )
-    leq = certain((a, True), (b, True)) and abs(min(1.0, agree) - 1.0) <= TOL
+    leq = certain((a, True), (b, True)) and abs(_agreement(projectors, rho, a, b) - 1.0) <= TOL
     return leq, certain((a, True), (b, False)) and certain((a, False), (b, True))
 
 

@@ -464,13 +464,36 @@ def exhaustive_decomposition_exists(lat, a, b):
     return False
 
 
+def subspace_span(p, q, tol=1e-9):
+    """The projector onto the span of the ranges of ``p`` and ``q``, from one SVD.
+
+    Its basis is the left singular vectors of [P Q] with singular value ``> tol``.
+    """
+    u, s, _ = np.linalg.svd(np.hstack([p, q]), full_matrices=False)
+    basis = u[:, : int(np.sum(s > tol))]
+    return basis @ basis.conj().T
+
+
+def subspace_intersection(p, q, tol=1e-9):
+    """The projector onto the intersection of the ranges of ``p`` and ``q``, from one SVD.
+
+    By De Morgan, the complement of the span of I - P and I - Q.  The
+    singular values of [I-P I-Q] resolve a principal angle t linearly (about
+    t / sqrt 2), where the eigenvalues of P + Q near 2 resolve it only as t^2.
+    """
+    eye = np.eye(p.shape[0])
+    return eye - subspace_span(eye - p, eye - q, tol)
+
+
 def full_rounds_closure(generators, names=None, tol=1e-9, max_elements=64):
     """Projector closure recombining every pair in every round.
 
     Returns (names, leq, ortho, projectors) in the library's element order:
-    sorted by (rank, discovery order), with the order and the complement
-    found by one Frobenius norm per pair.  A closure past ``max_elements``
-    raises the library's ``ClosureTooLarge``.
+    sorted by (rank, discovery order), with the complement found by one
+    Frobenius norm per pair.  The order keeps the Frobenius inclusion rule,
+    ``P_i <= P_j`` when ``||P_j P_i - P_i||_F <= tol``, as a cross-check
+    independent of the library, which reads the order off its meets.  A
+    closure past ``max_elements`` raises the library's ``ClosureTooLarge``.
     """
     dim = generators[0].shape[0]
     eye = np.eye(dim, dtype=complex)
@@ -478,11 +501,6 @@ def full_rounds_closure(generators, names=None, tol=1e-9, max_elements=64):
 
     def find(p):
         return next((i for i, q in enumerate(elems) if np.linalg.norm(p - q) <= tol), None)
-
-    def span(a, b):
-        u, s, _ = np.linalg.svd(np.hstack([a, b]), full_matrices=False)
-        basis = u[:, : int(np.sum(s > tol))]
-        return basis @ basis.conj().T
 
     def add(p, label=None):
         p = (p + p.conj().T) / 2
@@ -509,8 +527,8 @@ def full_rounds_closure(generators, names=None, tol=1e-9, max_elements=64):
                 labels[j] = "~" + labels[i]
         for i in range(before):
             for j in range(i + 1, before):
-                add(span(elems[i], elems[j]))
-                add(eye - span(eye - elems[i], eye - elems[j]))
+                add(subspace_span(elems[i], elems[j], tol))
+                add(subspace_intersection(elems[i], elems[j], tol))
         if len(elems) == before:
             break
     order = sorted(range(len(elems)), key=lambda i: (round(np.trace(elems[i]).real), i))

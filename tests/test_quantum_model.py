@@ -112,6 +112,14 @@ def test_validation_rejects_non_finite_entries(bad):
         validate_density_matrix(matrix)
 
 
+def test_validation_rejects_empty_matrices():
+    # a 0 x 0 matrix passes every tolerance check vacuously
+    with pytest.raises(BadProjector, match="dimension at least 1"):
+        projector_lattice([np.zeros((0, 0))])
+    with pytest.raises(BadDensityMatrix, match="dimension at least 1"):
+        validate_density_matrix(np.zeros((0, 0)))
+
+
 def test_standard_projectors():
     assert np.allclose(standard_projector("Z0"), np.diag([1, 0]))
     assert np.allclose(standard_projector("X+") + standard_projector("X-"), np.eye(2))
@@ -583,7 +591,7 @@ def test_closure_decides_each_candidate_once(monkeypatch, generators, commuting)
 
     def filtering(*args):
         matched = real_filter(*args)
-        events.append(("filter", len(matched), int(matched.sum())))
+        events.append(("filter", len(matched), int((matched >= 0).sum())))
         return matched
 
     def spanning(blocks):
@@ -747,6 +755,30 @@ def test_commuting_filter_changes_no_closure(inputs, data):
         patch.setattr(quantum, "_COMMUTATOR_BOUND", -1.0)
         unfiltered = _closure_outcome(generators)
     _assert_same_outcome(filtered, unfiltered)
+
+
+def _assert_tables_are_subspace_operations(pl):
+    # each certified meet and join lies within TOL of the pair's intersection and span
+    p, lat = pl.projector_stack, pl.lattice
+    for i, j in zip(*np.triu_indices(pl.n, 1)):
+        assert np.linalg.norm(p[lat.meet[i, j]] - oracles.subspace_intersection(p[i], p[j])) <= TOL
+        assert np.linalg.norm(p[lat.join[i, j]] - oracles.subspace_span(p[i], p[j])) <= TOL
+
+
+def test_certified_tables_are_subspace_operations(closure_case):
+    _assert_tables_are_subspace_operations(closure_case[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators=_near_rays(st.floats(0.5, 2).map(lambda f: f * TOL)))
+def test_certified_tables_of_near_rays_are_subspace_operations(generators):
+    # rays within 2 TOL of each other, or of orthogonal, put the rank and match
+    # decisions on their thresholds; a closure must be refused or be right
+    try:
+        pl = projector_lattice(generators)
+    except OrthologicError:
+        return
+    _assert_tables_are_subspace_operations(pl)
 
 
 def test_quantum_cli_reads_the_round_trip_in_one_pass(tmp_path, monkeypatch):
