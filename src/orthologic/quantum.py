@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -711,11 +711,13 @@ def isolated_check(
 def detectability(pl: ProjectorLattice, probe: int, alpha: int) -> float:
     """Disturbance of an ``alpha`` inquiry as seen by repeated probes.
 
-    Evaluated at the maximally mixed preparation; positive exactly when the
-    two projectors fail to commute.
+    Evaluated at the maximally mixed preparation; above ``TOL`` exactly when
+    the two projectors fail to commute (a commuting pair may read a rounding
+    error, a few times 1e-16, above 0).
     """
-    agreement = isolated_check(pl, maximally_mixed(pl.dim), probe, alpha)
-    return max(0.0, 1.0 - agreement)
+    _checked_indices(pl.n, (probe, alpha))
+    agreement = _agreement(pl.projector_stack, maximally_mixed(pl.dim), probe, alpha)
+    return max(0.0, 1.0 - float(agreement))
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +743,7 @@ def _literal_clauses(projectors: np.ndarray, rho: np.ndarray, a: int, b: int) ->
     and all.
     """
 
-    def probability(*steps) -> float:
-        return float(_luders(projectors, rho, steps))
-
-    def certain(condition, question) -> bool:
-        den = probability(condition)
-        return den <= TOL or abs(probability(condition, question) / den - 1.0) <= TOL
-
+    certain = partial(_certain, projectors, rho)
     leq = certain((a, True), (b, True)) and abs(_agreement(projectors, rho, a, b) - 1.0) <= TOL
     return leq, certain((a, True), (b, False)) and certain((a, False), (b, True))
 
@@ -789,6 +785,15 @@ def _certainty(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
         ~null & (np.abs(deviation - TOL) * den <= _MARGIN * (1.0 + np.abs(ratio)))
     )
     return null | (deviation <= TOL), near
+
+
+def _certain(projectors: np.ndarray, rho: np.ndarray, condition, question) -> bool:
+    """Whether answering ``condition`` makes ``question`` certain: :func:`_certainty`'s
+    rule for one pair, from the ``_luders`` calls :func:`sequence_probability` makes."""
+    den = float(_luders(projectors, rho, [condition]))
+    if den <= TOL:
+        return True
+    return abs(float(_luders(projectors, rho, [condition, question])) / den - 1.0) <= TOL
 
 
 def _sandwiches(columns: np.ndarray, answered: _Answered, needed: np.ndarray) -> np.ndarray:

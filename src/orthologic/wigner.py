@@ -7,6 +7,22 @@ the same construction for an incompatible question (``n``), and the plain
 joint question (``a``, trivial on the friend) let the disturbance trade-off
 be computed directly: certifying the interaction via ``n`` and reading the
 record via the joint question are mutually exclusive at certainty.
+
+Every matrix is checked once, where it enters (:class:`Scenario` and
+:func:`interaction_equivalence`), and made exact there; each class is then
+a product of exact parts and is not checked again.  The decisions, each
+with the one tolerance ``TOL`` of :mod:`orthologic.quantum`:
+
+- coupling: accepted when ``||U^H U - I||_F <= TOL`` and replaced by its
+  unitary polar factor ``W V^H`` (``U = W S V^H``), the nearest unitary;
+- ready state: accepted when ``| ||ready|| - 1 | <= TOL`` and replaced by
+  ``ready / ||ready||``;
+- projectors: :func:`~orthologic.quantum.validate_projector`;
+- cross-implication: certainty follows :mod:`orthologic.quantum`'s rule,
+  ``|num / den - 1| <= TOL`` with a null condition ``den <= TOL``;
+- inclusion: ``m <= (a, 1)`` when ``||(a, 1) m - m||_F <= TOL``;
+- incompatibility: a commutator's Frobenius norm ``> TOL``;
+- ``degenerate``: ``||alt_question - question||_F <= TOL``.
 """
 
 from __future__ import annotations
@@ -16,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionFailed
-from .quantum import TOL, matrix_from_json, validate_projector, x_plus, z1
+from .quantum import TOL, _certain, matrix_from_json, validate_projector, x_plus, z1
 
 __all__ = [
     "ClassRelationReport",
@@ -75,8 +91,10 @@ class Scenario:
             raise DimensionMismatch(f"ready state must have dimension {d2}")
         if np.abs(ready).max(initial=0.0) > 1 + TOL or abs(np.linalg.norm(ready) - 1.0) > TOL:
             raise ValueError("ready state is not normalized")
-        object.__setattr__(self, "coupling", u)
-        object.__setattr__(self, "ready", ready)
+        # the polar factor W V^H of U = W S V^H is the unitary nearest to U
+        w, _, vh = np.linalg.svd(u)
+        object.__setattr__(self, "coupling", w @ vh)
+        object.__setattr__(self, "ready", ready / np.linalg.norm(ready))
         for name, dim in (("question", d1), ("alt_question", d1), ("record", d2)):
             object.__setattr__(self, name, validate_projector(getattr(self, name), dim=dim))
 
@@ -91,10 +109,12 @@ class Scenario:
 
 def interaction_equivalence(scenario: Scenario, projector) -> np.ndarray:
     """Carry a joint-system question across the interaction: U P U+."""
-    p = validate_projector(projector, dim=scenario.joint_dim)
+    return _carried(scenario, validate_projector(projector, dim=scenario.joint_dim))
+
+
+def _carried(scenario: Scenario, p: np.ndarray) -> np.ndarray:
     u = scenario.coupling
-    moved = u @ p @ u.conj().T
-    return validate_projector(moved, dim=scenario.joint_dim)
+    return u @ p @ u.conj().T
 
 
 def _pre_true(scenario: Scenario) -> np.ndarray:
@@ -108,14 +128,12 @@ def _pre_false(scenario: Scenario) -> np.ndarray:
 
 def class_m(scenario: Scenario) -> np.ndarray:
     """Post-interaction representative of (measured question, ready friend)."""
-    return interaction_equivalence(scenario, _pre_true(scenario))
+    return _carried(scenario, _pre_true(scenario))
 
 
 def class_n(scenario: Scenario) -> np.ndarray:
     """Post-interaction representative of (alternative question, ready friend)."""
-    return interaction_equivalence(
-        scenario, np.kron(scenario.alt_question, scenario.ready_projector)
-    )
+    return _carried(scenario, np.kron(scenario.alt_question, scenario.ready_projector))
 
 
 def full_question(scenario: Scenario) -> np.ndarray:
@@ -124,15 +142,11 @@ def full_question(scenario: Scenario) -> np.ndarray:
 
 
 def _implication_certain(scenario: Scenario, pre, post) -> bool:
-    # conditional probability of the post-interaction question given the
-    # pre-interaction answer, at the maximally mixed joint preparation
-    weight = float(np.trace(pre).real)
-    if weight <= TOL:
-        return True
-    u = scenario.coupling
-    evolved = u @ pre @ u.conj().T
-    hit = float(np.trace(post @ evolved).real)
-    return abs(hit / weight - 1.0) <= TOL
+    # the Luders sequence (pre carried across U, post) at the maximally mixed
+    # joint preparation, which U leaves unchanged
+    projectors = np.stack([_carried(scenario, pre), post])
+    rho = np.eye(scenario.joint_dim) / scenario.joint_dim
+    return _certain(projectors, rho, (0, True), (1, True))
 
 
 def verify_cross_implication(scenario: Scenario) -> bool:
@@ -144,7 +158,7 @@ def verify_cross_implication(scenario: Scenario) -> bool:
     that measures from one that merely evolves.
     """
     eye = np.eye(scenario.joint_dim)
-    carried = interaction_equivalence(scenario, full_question(scenario))
+    carried = _carried(scenario, full_question(scenario))
     record = np.kron(np.eye(scenario.system_dim), scenario.record)
     pre_t, pre_f = _pre_true(scenario), _pre_false(scenario)
     return (

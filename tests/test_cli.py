@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import math
 import os
 import re
 import resource
@@ -251,6 +252,24 @@ def test_wigner_identity_fails(capsys):
 def test_wigner_scenario_file(tmp_path, capsys):
     code, report = run_json_input(capsys, tmp_path, "wigner", json.dumps(SCENARIO))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "ready, exact",
+    [([1 + 0.9e-9, 0], [1, 0]), ([(1 + 0.6e-9) / math.sqrt(2)] * 2, [1 / math.sqrt(2)] * 2)],
+    ids=["basis", "diagonal"],
+)
+def test_wigner_ready_state_within_tolerance_reads_as_exact(tmp_path, capsys, ready, exact):
+    # a ready state the door accepts is normalised there, not refused downstream
+    runs = [
+        run_json_input(capsys, tmp_path, "wigner", json.dumps({**SCENARIO, "ready": r}))
+        for r in (ready, exact)
+    ]
+    (code, report), (exact_code, exact_report) = runs
+    assert code == exact_code
+    assert report["results"].keys() == exact_report["results"].keys()
+    for key, value in exact_report["results"].items():
+        assert report["results"][key] == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthologic import (
     BadProjector,
@@ -21,6 +23,8 @@ from orthologic import (
     z0,
     z1,
 )
+from orthologic import quantum, wigner
+from orthologic.cli import main
 from orthologic.quantum import ket_projector, matrix_to_json, validate_projector
 
 TOL = 1e-9
@@ -34,14 +38,15 @@ BELL[0] = BELL[3] = 1 / np.sqrt(2)
 
 
 def with_alt(scenario, alt):
+    return with_fields(scenario, alt_question=alt)
+
+
+def with_fields(scenario, **fields):
+    names = ("coupling", "ready", "question", "record", "alt_question")
     return Scenario(
         system_dim=scenario.system_dim,
         friend_dim=scenario.friend_dim,
-        coupling=scenario.coupling,
-        ready=scenario.ready,
-        question=scenario.question,
-        record=scenario.record,
-        alt_question=alt,
+        **{name: fields.get(name, getattr(scenario, name)) for name in names},
     )
 
 
@@ -72,6 +77,22 @@ def test_interaction_equivalence_preserves_projector_structure():
         moved = interaction_equivalence(scenario, p)
         validate_projector(moved, dim=4)
         assert abs(np.trace(moved).real - np.trace(p).real) < TOL  # rank kept
+
+
+def test_wigner_job_checks_each_input_projector_once(capsys, monkeypatch):
+    # the three door projectors; every class built from them is exact already
+    calls = []
+    real = quantum.validate_projector
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (quantum, wigner):
+        monkeypatch.setattr(module, "validate_projector", counting)
+    assert main(["wigner", "--preset", "cnot"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
 
 
 def test_interaction_equivalence_validates_input():
@@ -189,6 +210,39 @@ def test_tradeoff_second_component_never_exceeds_first():
         report = verify_class_relations(scenario)
         strictly_less = know_then_detect < detect_only - TOL
         assert strictly_less == report.n_incompatible_with_full
+
+
+@st.composite
+def _near_door(draw):
+    # an exact scenario, and the same one with the coupling U (I + tH), H hermitian
+    # with ||H||_F = 1 and |t| <= 0.45 TOL, so that ||(I + tH)^2 - I||_F is at most
+    # 0.9 TOL + t^2, and the ready state scaled by 1 + s, |s| <= 0.99 TOL: both
+    # inside the door's tolerance
+    preset = draw(st.sampled_from([cnot_scenario, swap_scenario, identity_scenario]))()
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    h = (a + a.conj().T) / np.linalg.norm(a + a.conj().T)
+    ready = draw(st.sampled_from([[1, 0], [1, 1], gen.normal(size=2) + 1j * gen.normal(size=2)]))
+    ready = np.asarray(ready, dtype=complex) / np.linalg.norm(ready)
+    exact = with_fields(preset, ready=ready)
+    t = draw(st.floats(-0.45, 0.45)) * TOL
+    s = draw(st.floats(-0.99, 0.99)) * TOL
+    near = with_fields(exact, coupling=exact.coupling @ (np.eye(4) + t * h), ready=(1 + s) * ready)
+    return exact, near
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_door())
+def test_scenario_within_tolerance_reads_as_exact(scenarios):
+    # the door snaps the coupling and the ready state, so nothing downstream
+    # refuses them, and every answer is the exact scenario's
+    exact, near = scenarios
+    want, got = verify_class_relations(exact), verify_class_relations(near)
+    for field, value in vars(want).items():
+        assert getattr(got, field) == pytest.approx(value, abs=1e-12)
+    for build in (class_m, class_n):
+        assert np.linalg.norm(build(near) - build(exact)) <= 1e-12
+    assert tradeoff(near, check=False) == pytest.approx(tradeoff(exact, check=False), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,21 @@ def test_detectability_positive_iff_noncommuting(zx, qutrit):
             assert noisy == (np.linalg.norm(commutator) > TOL)
 
 
+def test_detectability_validates_no_density_matrix(zx, monkeypatch):
+    # it builds its own maximally mixed state, so there is nothing to check
+    calls = []
+    real = quantum.validate_density_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "validate_density_matrix", counting)
+    for a, b in product(range(zx.n), repeat=2):
+        detectability(zx, a, b)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # reconstruction round-trips
 
